@@ -221,13 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="flush a coalescing group at N requests (default 16)",
     )
     ps.add_argument(
-        "--flush-ms",
-        type=float,
-        default=5.0,
-        metavar="MS",
-        help="deadline flush: max milliseconds a request waits to co-batch",
-    )
-    ps.add_argument(
         "--max-pending",
         type=int,
         default=1024,
@@ -788,7 +781,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.batch_size,
-        flush_ms=args.flush_ms,
         max_pending=args.max_pending,
         rate=args.rate,
         burst=args.burst,
@@ -800,8 +792,7 @@ def _cmd_serve(args) -> int:
         await server.start()
         print(
             f"repro serve: listening on http://{config.host}:{server.port} "
-            f"(batch={config.max_batch}, flush={config.flush_ms}ms, "
-            f"backend={config.backend})"
+            f"(batch={config.max_batch}, backend={config.backend})"
         )
         try:
             while True:

@@ -27,7 +27,9 @@ The HTTP service (:mod:`repro.serve`) adds its own family, recorded
 - ``repro_serve_requests_total`` — responses by ``route`` and ``code``;
 - ``repro_serve_request_seconds`` — request latency histogram by ``route``;
 - ``repro_serve_batches_total`` — micro-batch flushes by
-  ``reason=full|deadline|drain``;
+  ``reason=full|idle|drain``;
+- ``repro_serve_queue_wait_seconds`` — per-request wait histogram, enqueue
+  to batch dispatch;
 - ``repro_serve_queue_depth`` — requests waiting in the batch queue;
 - ``repro_serve_rejections_total`` — shed requests by
   ``reason=quota|queue_full|draining``.

@@ -6,7 +6,7 @@ a hand-rolled sliver of HTTP/1.1.  Four pieces:
 
 - :mod:`repro.serve.protocol` — the JSON wire format and its codecs;
 - :mod:`repro.serve.batcher` — the micro-batching queue that coalesces
-  requests into engine-sized batches (full / deadline / drain flushes);
+  requests into engine-sized batches (full / idle / drain flushes);
 - :mod:`repro.serve.quotas` — per-client token buckets behind the 429s;
 - :mod:`repro.serve.server` — the :class:`RobustnessServer` tying them to
   a shared :class:`~repro.engine.RobustnessEngine`;

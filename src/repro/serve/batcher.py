@@ -7,22 +7,28 @@ dispatched one engine call per HTTP request would throw that advantage
 away.  :class:`BatchQueue` is the coalescing core: requests enter one at a
 time, grouped by a *batch key* (problems that can legally share an engine
 call — same ETC matrix and tau, or any set of generic FePIA problems), and
-leave as :class:`Batch` objects when either
+leave as :class:`Batch` objects under a **work-conserving** rule — the
+engine never idles while a request waits:
 
-- the group reaches ``max_batch`` items (a **full** flush, synchronous with
-  the triggering :meth:`~BatchQueue.add`), or
-- the oldest item of the group has waited ``deadline_s`` seconds (a
-  **deadline** flush, driven by the owner polling :meth:`flush_due` at
-  :meth:`next_deadline`), or
-- the owner shuts down and calls :meth:`flush_all` (a **drain** flush).
+- a group that reaches ``max_batch`` items leaves at once (a **full**
+  flush, synchronous with the triggering :meth:`~BatchQueue.add`);
+- when no batch is in flight, :meth:`~BatchQueue.ready` sends every group
+  (an **idle** flush); while batches are in flight, requests coalesce, and
+  :meth:`~BatchQueue.retire` of a completed batch sends every group that
+  has waited out all the batches in flight at its arrival (also **idle**:
+  the engine just freed up);
+- the owner shuts down and calls :meth:`~BatchQueue.flush_all` (a **drain**
+  flush).
 
+No timer is involved: engine occupancy, not a deadline, sets the wait.
 The queue is deliberately *pure*: no asyncio, no threads, no wall clock of
 its own — time enters only through the injected
 :class:`~repro.utils.clock.Clock`, which is what makes the dispatch
 invariants property-testable with a :class:`~repro.utils.clock.FakeClock`
 (every request dispatched exactly once, no batch over ``max_batch``, no
-request waiting past its deadline).  The asyncio server wraps it with a
-timer task; nothing else in this module knows a network exists.
+request waiting while nothing is in flight).  The asyncio server calls
+:meth:`~BatchQueue.ready` once per loop tick and :meth:`~BatchQueue.retire`
+per completed batch; nothing here knows a network exists.
 
 Total occupancy is bounded: :meth:`add` raises :class:`QueueFullError` once
 ``max_pending`` requests are waiting, which the server surfaces as HTTP 429
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Hashable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.exceptions import ReproError, ValidationError
@@ -42,7 +48,7 @@ from repro.utils.clock import Clock, get_clock
 __all__ = ["Batch", "BatchQueue", "PendingRequest", "QueueFullError", "FLUSH_REASONS"]
 
 #: why a batch left the queue
-FLUSH_REASONS = ("full", "deadline", "drain")
+FLUSH_REASONS = ("full", "idle", "drain")
 
 
 class QueueFullError(ReproError):
@@ -79,7 +85,7 @@ class Batch:
     key: Hashable
     #: the coalesced requests, in arrival order
     items: tuple[PendingRequest, ...]
-    #: ``"full"`` | ``"deadline"`` | ``"drain"``
+    #: ``"full"`` | ``"idle"`` | ``"drain"``
     reason: str
     #: clock reading at flush time
     flushed_at: float
@@ -88,28 +94,16 @@ class Batch:
         return len(self.items)
 
 
-@dataclass
-class _Group:
-    """Mutable accumulation state of one batch key."""
-
-    items: list[PendingRequest] = field(default_factory=list)
-
-    @property
-    def oldest(self) -> float:
-        return self.items[0].enqueued_at
-
-
 class BatchQueue:
-    """Deadline-flushed, size-capped request coalescing (see module doc).
+    """Work-conserving, size-capped request coalescing (see module doc).
+
+    Every batch the queue hands out counts as *in flight* until the owner
+    passes it back to :meth:`retire`.
 
     Parameters
     ----------
     max_batch:
         Flush a group as soon as it holds this many requests.
-    deadline_s:
-        Flush a group once its oldest request has waited this long.  The
-        worst-case added latency of coalescing; ``0`` degenerates to
-        one-request batches flushed by the first :meth:`flush_due`.
     max_pending:
         Total requests allowed to wait across all groups; :meth:`add`
         raises :class:`QueueFullError` beyond it (None = unbounded).
@@ -124,22 +118,20 @@ class BatchQueue:
         self,
         *,
         max_batch: int = 32,
-        deadline_s: float = 0.005,
         max_pending: int | None = 1024,
         clock: Clock | None = None,
     ) -> None:
         if int(max_batch) < 1:
             raise ValidationError(f"max_batch must be >= 1, got {max_batch!r}")
-        if float(deadline_s) < 0:
-            raise ValidationError(f"deadline_s must be >= 0, got {deadline_s!r}")
         if max_pending is not None and int(max_pending) < 1:
             raise ValidationError(f"max_pending must be >= 1, got {max_pending!r}")
         self.max_batch = int(max_batch)
-        self.deadline_s = float(deadline_s)
         self.max_pending = None if max_pending is None else int(max_pending)
         self._clock = clock
-        self._groups: dict[Hashable, _Group] = {}
+        self._groups: dict[Hashable, list[PendingRequest]] = {}
         self._pending = 0
+        #: ``flushed_at`` of every batch handed out and not yet retired
+        self._in_flight: list[float] = []
         self._seq = itertools.count()
 
     # -- time ----------------------------------------------------------------
@@ -158,11 +150,10 @@ class BatchQueue:
         """Distinct batch keys currently accumulating."""
         return len(self._groups)
 
-    def next_deadline(self) -> float | None:
-        """Clock reading at which the oldest group must flush (None = idle)."""
-        if not self._groups:
-            return None
-        return min(g.oldest for g in self._groups.values()) + self.deadline_s
+    @property
+    def n_in_flight(self) -> int:
+        """Batches handed out and not yet retired."""
+        return len(self._in_flight)
 
     # -- enqueue / flush -----------------------------------------------------
     def add(
@@ -176,7 +167,7 @@ class BatchQueue:
 
         A returned non-empty batch list means the request's own group hit
         ``max_batch`` and flushed synchronously — the caller dispatches those
-        batches immediately and must *not* wait for a deadline tick.
+        batches immediately.  Otherwise the request waits for :meth:`ready`.
 
         Raises
         ------
@@ -195,44 +186,56 @@ class BatchQueue:
             seq=next(self._seq),
             enqueued_at=now,
         )
-        group = self._groups.setdefault(key, _Group())
-        group.items.append(req)
+        group = self._groups.setdefault(key, [])
+        group.append(req)
         self._pending += 1
-        flushed: list[Batch] = []
-        if len(group.items) >= self.max_batch:
-            flushed.append(self._flush_group(key, "full", now))
-        return req, flushed
+        if len(group) >= self.max_batch:
+            return req, [self._flush_group(key, "full", now)]
+        return req, []
 
     def _flush_group(self, key: Hashable, reason: str, now: float) -> Batch:
-        group = self._groups.pop(key)
-        self._pending -= len(group.items)
-        return Batch(
-            key=key, items=tuple(group.items), reason=reason, flushed_at=now
-        )
+        items = self._groups.pop(key)
+        self._pending -= len(items)
+        self._in_flight.append(now)
+        return Batch(key=key, items=tuple(items), reason=reason, flushed_at=now)
 
-    def flush_due(self, now: float | None = None) -> list[Batch]:
-        """Flush every group whose oldest request has reached its deadline.
-
-        ``now`` defaults to the injected clock; passing it explicitly lets a
-        driver flush *at* a computed deadline without consuming a clock read
-        (and makes property tests exact).
-        """
-        if now is None:
+    def _flush_groups(self, keys: list, reason: str, now: float | None) -> list[Batch]:
+        if keys and now is None:
             now = self._now()
-        due = [
-            key
-            for key, group in self._groups.items()
-            if group.oldest + self.deadline_s <= now
-        ]
-        return [self._flush_group(key, "deadline", now) for key in due]
+        return [self._flush_group(key, reason, now) for key in keys]
+
+    def ready(self, now: float | None = None) -> list[Batch]:
+        """Every waiting group as a batch if nothing is in flight, else none.
+
+        ``now`` defaults to the injected clock; passing it explicitly stamps
+        ``flushed_at`` without consuming a clock read (and makes property
+        tests exact).
+        """
+        return [] if self._in_flight else self._flush_groups(list(self._groups), "idle", now)
+
+    def retire(self, batch: Batch, now: float | None = None) -> list[Batch]:
+        """Mark ``batch`` finished; returns the groups that may leave now.
+
+        A group leaves (an **idle** flush) once no batch still in flight was
+        dispatched before its oldest request arrived: no request waits past
+        the batches in flight at its arrival, and requests that arrived
+        behind a later full flush keep coalescing until it completes.
+        """
+        try:
+            self._in_flight.remove(batch.flushed_at)
+        except ValueError:
+            raise ReproError(
+                f"retire() of a {batch.reason!r} batch that is not in flight"
+            ) from None
+        busy_since = min(self._in_flight, default=float("inf"))
+        due = [key for key, items in self._groups.items() if items[0].enqueued_at <= busy_since]
+        return self._flush_groups(due, "idle", now)
 
     def flush_all(self, now: float | None = None) -> list[Batch]:
-        """Drain every group regardless of age (shutdown path)."""
-        if now is None:
-            now = self._now()
-        return [self._flush_group(key, "drain", now) for key in list(self._groups)]
+        """Drain every group regardless of engine occupancy (shutdown path)."""
+        return self._flush_groups(list(self._groups), "drain", now)
 
     def __iter__(self) -> Iterator[PendingRequest]:
         """Iterate the waiting requests (observability/debugging aid)."""
         for group in self._groups.values():
-            yield from group.items
+            yield from group

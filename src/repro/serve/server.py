@@ -16,8 +16,9 @@ library**:
 
 Requests do **not** each get an engine call.  Data-plane requests enter the
 :class:`~repro.serve.batcher.BatchQueue` and leave as coalesced batches —
-flushed when full, when the oldest member's deadline lapses (a timer task
-owns that), or at drain — so concurrent clients share stacked
+at once when no batch is in flight (checked once per loop tick, so a
+population request rides together), else when the batches in flight
+complete, when full, or at drain — so concurrent clients share stacked
 :meth:`~repro.engine.RobustnessEngine.evaluate_allocation` /
 :meth:`~repro.engine.RobustnessEngine.evaluate_population` passes.  Batches
 execute on a single-thread executor: the engine sees one call at a time
@@ -86,6 +87,8 @@ _REASONS = {
 
 #: histogram buckets for request latency (seconds)
 _LATENCY_BUCKETS = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
+#: histogram buckets for the wait from enqueue to batch dispatch (seconds)
+_QUEUE_WAIT_BUCKETS = (0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.1, 1.0)
 
 _MAX_HEADERS = 100
 
@@ -105,8 +108,6 @@ class ServeConfig:
     port: int = 8471
     #: flush a coalescing group at this many requests
     max_batch: int = 16
-    #: deadline flush: the most a request waits for co-batching, in ms
-    flush_ms: float = 5.0
     #: total waiting requests before 429 backpressure
     max_pending: int = 1024
     #: per-client token refill per second (<= 0 disables quotas)
@@ -160,8 +161,6 @@ class RobustnessServer:
         self.config = config if config is not None else ServeConfig()
         if self.config.max_batch < 1:
             raise ValidationError("max_batch must be >= 1")
-        if self.config.flush_ms < 0:
-            raise ValidationError("flush_ms must be >= 0")
         if engine is None:
             from repro.engine import RobustnessEngine
 
@@ -169,9 +168,7 @@ class RobustnessServer:
         self.engine = engine
         self.retry_policy = retry_policy
         self._queue = BatchQueue(
-            max_batch=self.config.max_batch,
-            deadline_s=self.config.flush_ms / 1000.0,
-            max_pending=self.config.max_pending,
+            max_batch=self.config.max_batch, max_pending=self.config.max_pending
         )
         self._quotas = ClientQuotas(self.config.rate, self.config.burst)
         self._server: asyncio.Server | None = None
@@ -179,8 +176,7 @@ class RobustnessServer:
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-dispatch"
         )
-        self._wake: asyncio.Event | None = None
-        self._flush_task: asyncio.Task | None = None
+        self._kick_scheduled = False
         self._dispatch_tasks: set[asyncio.Task] = set()
         self._connections: set[asyncio.StreamWriter] = set()
         self._draining = False
@@ -229,14 +225,12 @@ class RobustnessServer:
 
     # -- lifecycle -------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listener and start the deadline-flush timer."""
+        """Bind the listener."""
         self._loop = asyncio.get_running_loop()
-        self._wake = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._flush_task = self._loop.create_task(self._flush_loop())
 
     async def stop(self) -> None:
         """Graceful drain: refuse new work, finish everything accepted."""
@@ -245,13 +239,7 @@ class RobustnessServer:
             self._server.close()
             await self._server.wait_closed()
         # flush whatever is still coalescing, then let dispatch finish
-        for batch in self._queue.flush_all():
-            self._dispatch(batch)
-        self._set_queue_depth()
-        if self._wake is not None:
-            self._wake.set()
-        if self._flush_task is not None:
-            await self._flush_task
+        self._dispatch_all(self._queue.flush_all())
         while self._dispatch_tasks:
             await asyncio.gather(*list(self._dispatch_tasks), return_exceptions=True)
         for writer in list(self._connections):
@@ -263,37 +251,28 @@ class RobustnessServer:
         """Whether the server has begun its graceful shutdown."""
         return self._draining
 
-    # -- deadline flush timer --------------------------------------------------
-    async def _flush_loop(self) -> None:
-        wake = self._wake  # set once in start(); this task is the only consumer
-        assert wake is not None
-        while not self._draining:
-            deadline = self._queue.next_deadline()
-            if deadline is None:
-                await wake.wait()
-                wake.clear()
-                continue
-            delay = deadline - self._now()
-            if delay > 0:
-                try:
-                    await asyncio.wait_for(wake.wait(), timeout=delay)
-                    wake.clear()
-                    continue  # arrivals may have changed the earliest deadline
-                except asyncio.TimeoutError:
-                    pass
-            for batch in self._queue.flush_due():
-                self._dispatch(batch)
-            self._set_queue_depth()
-
     # -- batch dispatch --------------------------------------------------------
+    def _dispatch_all(self, batches: list[Batch]) -> None:
+        for batch in batches:
+            self._dispatch(batch)
+        self._set_queue_depth()
+
     def _dispatch(self, batch: Batch) -> None:
         """Hand a flushed batch to the engine executor (never blocks)."""
         assert self._loop is not None
-        self._registry().counter(
+        registry = self._registry()
+        registry.counter(
             "repro_serve_batches_total",
             "batches flushed to the engine, by flush reason",
             reason=batch.reason,
         ).inc()
+        wait = registry.histogram(
+            "repro_serve_queue_wait_seconds",
+            "per-request wait from enqueue to batch dispatch",
+            buckets=_QUEUE_WAIT_BUCKETS,
+        )
+        for req in batch.items:
+            wait.observe(batch.flushed_at - req.enqueued_at)
         self.n_engine_calls += 1
         ctx = obs.current_context()
         task = self._loop.create_task(self._complete_batch(batch, ctx))
@@ -308,6 +287,8 @@ class RobustnessServer:
             )
         except Exception as err:  # noqa: BLE001 - answered, not swallowed
             outcomes = [error_outcome(f"{type(err).__name__}: {err}")] * len(batch)
+        # requests that coalesced behind this batch go to the engine first
+        self._dispatch_all(self._queue.retire(batch))
         for req, out in zip(batch.items, outcomes):
             completion = req.payload.completion
             if not completion.done():
@@ -358,14 +339,20 @@ class RobustnessServer:
     # -- request intake --------------------------------------------------------
     async def _submit(self, problem, request_id: str | None) -> dict:
         """Enqueue one decoded problem; resolves with its outcome dict."""
-        assert self._loop is not None and self._wake is not None
+        assert self._loop is not None
         work = _PendingWork(problem=problem, completion=self._loop.create_future())
         _, full_batches = self._queue.add(problem.key, work, request_id=request_id)
-        self._set_queue_depth()
-        for batch in full_batches:
-            self._dispatch(batch)
-        self._wake.set()
+        self._dispatch_all(full_batches)
+        # one idle check per loop tick, after every arrival of this tick has
+        # been enqueued; with a batch in flight its completion dispatches
+        if not self._kick_scheduled and not self._queue.n_in_flight:
+            self._kick_scheduled = True
+            self._loop.call_soon(self._kick)
         return await work.completion
+
+    def _kick(self) -> None:
+        self._kick_scheduled = False
+        self._dispatch_all(self._queue.ready())
 
     # -- HTTP plumbing ---------------------------------------------------------
     async def _handle_connection(
@@ -530,13 +517,7 @@ class RobustnessServer:
             return await self._reject(writer, route, 400, str(err))
         except QueueFullError as err:
             self._count_rejection("queue_full")
-            return await self._reject(
-                writer,
-                route,
-                429,
-                str(err),
-                retry_after=self.config.flush_ms / 1000.0,
-            )
+            return await self._reject(writer, route, 429, str(err), retry_after=1.0)
         self.n_requests += 1
         self._count_request(route, 200)
         self._observe_latency(route, self._now() - started)

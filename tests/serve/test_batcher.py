@@ -10,7 +10,7 @@ pytestmark = pytest.mark.serve
 
 def make_queue(**kwargs):
     clock = kwargs.pop("clock", FakeClock(tick=0.0))
-    defaults = dict(max_batch=4, deadline_s=0.01, max_pending=16)
+    defaults = dict(max_batch=4, max_pending=16)
     defaults.update(kwargs)
     return BatchQueue(clock=clock, **defaults), clock
 
@@ -48,46 +48,78 @@ class TestFullFlush:
         assert q.n_pending == 1  # "b" still waiting
 
 
-class TestDeadlineFlush:
-    def test_flush_due_respects_deadline(self):
-        clock = FakeClock(start=100.0, tick=0.0)
-        q = BatchQueue(max_batch=10, deadline_s=0.5, clock=clock)
+class TestIdleDispatch:
+    def test_ready_waits_for_the_batch_in_flight(self):
+        q, _ = make_queue(max_batch=10)
         q.add("k", "x")
-        assert q.flush_due() == []  # too early
-        clock.advance(0.499)
-        assert q.flush_due() == []
-        clock.advance(0.001)
-        flushed = q.flush_due()
-        assert len(flushed) == 1
-        assert flushed[0].reason == "deadline"
+        (first,) = q.ready()
+        assert first.reason == "idle"
+        q.add("k", "y")
+        q.add("k", "z")
+        assert q.ready() == []  # the engine is busy: coalesce
+        (second,) = q.retire(first)
+        assert second.reason == "idle"
+        assert [r.payload for r in second.items] == ["y", "z"]
 
-    def test_next_deadline_tracks_oldest_request(self):
-        clock = FakeClock(start=10.0, tick=0.0)
-        q = BatchQueue(max_batch=10, deadline_s=1.0, clock=clock)
-        assert q.next_deadline() is None
-        q.add("a", 1)  # enqueued at t=10
-        clock.advance(0.25)
-        q.add("b", 2)  # enqueued at t=10.25
-        assert q.next_deadline() == pytest.approx(11.0)
+    def test_n_in_flight_tracks_handed_out_batches(self):
+        q, _ = make_queue(max_batch=2)
+        assert q.n_in_flight == 0
+        q.add("a", 1)
+        _, (full_a,) = q.add("a", 2)
+        q.add("b", 3)
+        _, (full_b,) = q.add("b", 4)
+        assert q.n_in_flight == 2
+        assert q.retire(full_a) == []
+        assert q.n_in_flight == 1
+        q.add("c", 5)
+        assert q.ready() == []
+        (coalesced,) = q.retire(full_b)  # a completion sends what waited
+        assert coalesced.reason == "idle"
+        assert q.n_in_flight == 1
 
-    def test_explicit_now_flushes_exactly_at_deadline(self):
+    def test_explicit_now_stamps_flushed_at(self):
         clock = FakeClock(start=0.0, tick=0.0)
-        q = BatchQueue(max_batch=10, deadline_s=0.2, clock=clock)
+        q = BatchQueue(max_batch=10, clock=clock)
         q.add("k", "x")
-        assert q.flush_due(now=0.1999) == []
-        flushed = q.flush_due(now=0.2)
-        assert len(flushed) == 1
+        (batch,) = q.ready(now=0.2)
+        assert batch.flushed_at == 0.2
+        assert batch.items[0].enqueued_at == 0.0
 
-    def test_only_due_groups_flush(self):
-        clock = FakeClock(start=0.0, tick=0.0)
-        q = BatchQueue(max_batch=10, deadline_s=0.1, clock=clock)
+    def test_idle_flush_sends_every_group(self):
+        q, _ = make_queue(max_batch=10)
         q.add("old", 1)
-        clock.advance(0.09)
         q.add("young", 2)
-        clock.advance(0.02)
-        flushed = q.flush_due()
-        assert [b.key for b in flushed] == ["old"]
-        assert q.n_pending == 1
+        q.add("old", 3)
+        flushed = q.ready()
+        assert [b.key for b in flushed] == ["old", "young"]
+        assert [len(b) for b in flushed] == [2, 1]
+        assert q.n_pending == 0
+        assert q.n_in_flight == 2
+
+    def test_retire_holds_groups_that_arrived_behind_a_later_batch(self):
+        clock = FakeClock(start=0.0, tick=0.0)
+        q = BatchQueue(max_batch=2, clock=clock)
+        q.add("a", 1)
+        (first,) = q.ready()  # dispatched at t=0
+        clock.advance(1.0)
+        q.add("b", 2)  # waits behind `first`
+        clock.advance(1.0)
+        q.add("c", 3)
+        _, (full,) = q.add("c", 4)  # dispatched at t=2
+        clock.advance(0.5)
+        q.add("d", 5)  # waits behind `full` only
+        assert [b.key for b in q.retire(first)] == ["b"]
+        assert [b.key for b in q.retire(full)] == ["d"]
+
+    def test_retire_without_a_batch_in_flight_raises(self):
+        from repro.exceptions import ReproError
+
+        q, _ = make_queue()
+        q.add("k", "x")
+        (batch,) = q.ready()
+        q.retire(batch)
+        with pytest.raises(ReproError):
+            q.retire(batch)
 
 
 class TestDrain:
@@ -126,7 +158,7 @@ class TestValidation:
         "kwargs",
         [
             {"max_batch": 0},
-            {"deadline_s": -0.1},
+            {"max_batch": -1},
             {"max_pending": 0},
         ],
     )

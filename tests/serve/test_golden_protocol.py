@@ -40,7 +40,7 @@ class TestGoldenRoundTrip:
     def test_pinned_request_yields_pinned_response(self):
         request = load("serve_request.json")
         expected = load("serve_response.json")
-        with ServerThread(ServeConfig(port=0, flush_ms=1.0)) as h:
+        with ServerThread(ServeConfig(port=0)) as h:
             client = h.client()
             reply = client.post_json("/evaluate", request)
             client.close()
@@ -91,7 +91,7 @@ class TestMetricsScrape:
         from repro import obs
 
         obs.reset_metrics()  # the registry is process-global
-        with ServerThread(ServeConfig(port=0, flush_ms=1.0)) as h:
+        with ServerThread(ServeConfig(port=0)) as h:
             client = h.client()
             request = load("serve_request.json")
             assert client.post_json("/evaluate", request).status == 200
@@ -104,6 +104,7 @@ class TestMetricsScrape:
         assert '# TYPE repro_serve_queue_depth gauge' in scrape
         assert '# TYPE repro_serve_request_seconds histogram' in scrape
         assert '# TYPE repro_serve_batches_total counter' in scrape
+        assert '# TYPE repro_serve_queue_wait_seconds histogram' in scrape
 
     def test_request_counter_carries_route_and_code_labels(self, scrape):
         assert 'repro_serve_requests_total{code="200",route="/evaluate"} 1.0' in scrape
@@ -114,6 +115,10 @@ class TestMetricsScrape:
         assert re.search(
             r'repro_serve_request_seconds_sum\{route="/evaluate"\} [0-9.e\-]+', scrape
         )
+
+    def test_queue_wait_histogram_counts_each_dispatched_request(self, scrape):
+        assert 'repro_serve_queue_wait_seconds_bucket{le="+Inf"} 1' in scrape
+        assert 'repro_serve_queue_wait_seconds_count 1' in scrape
 
     def test_queue_depth_gauge_reads_zero_after_drain(self, scrape):
         assert "repro_serve_queue_depth 0.0" in scrape

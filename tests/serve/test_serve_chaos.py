@@ -76,7 +76,6 @@ def chaos_harness(*, backend: str | None, task_timeout: float | None = None):
         ServeConfig(
             port=0,
             max_batch=N_PROBLEMS,  # the population flushes as exactly one batch
-            flush_ms=250.0,
             allow_fault_injection=True,
         ),
         engine=engine,

@@ -1,7 +1,9 @@
 """End-to-end tests of the HTTP service: real sockets, real server thread."""
 
 import json
+import re
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ def json_roundtrip(obj: dict) -> dict:
 
 @pytest.fixture(scope="module")
 def harness():
-    with ServerThread(ServeConfig(port=0, max_batch=8, flush_ms=3.0)) as h:
+    with ServerThread(ServeConfig(port=0, max_batch=8)) as h:
         yield h
 
 
@@ -188,27 +190,70 @@ class TestHttpSurface:
         assert client._conn is conn_before
 
 
+class GatedEngine(RobustnessEngine):
+    """An engine whose allocation batches block until :attr:`release` is set.
+
+    Holding a batch in flight on purpose is how these tests make requests
+    coalesce (or park) behind it deterministically.
+    """
+
+    def __init__(self):
+        super().__init__(backend="serial")
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def evaluate_allocation(self, *args, **kwargs):
+        self.entered.set()
+        assert self.release.wait(timeout=30), "gated batch never released"
+        return super().evaluate_allocation(*args, **kwargs)
+
+
+def wait_for_queue_depth(harness, depth):
+    probe = harness.client()
+    try:
+        for _ in range(250):
+            if probe.healthz().json["queue_depth"] == depth:
+                return
+            time.sleep(0.02)
+    finally:
+        probe.close()
+    pytest.fail(f"queue never reached depth {depth}")
+
+
+def evaluate_in_thread(harness, results, slot):
+    def run():
+        c = harness.client(client_id=f"c{slot}")
+        try:
+            results[slot] = c.evaluate(ALLOCATION, request_id=f"r{slot}")
+        finally:
+            c.close()
+
+    t = threading.Thread(target=run)
+    t.start()
+    return t
+
+
+def batches_total(scrape, reason):
+    match = re.search(rf'repro_serve_batches_total\{{reason="{reason}"\}} (\S+)', scrape)
+    return float(match.group(1)) if match else 0.0
+
+
 class TestBatching:
     def test_concurrent_requests_coalesce_into_fewer_engine_calls(self):
-        config = ServeConfig(port=0, max_batch=8, flush_ms=25.0)
+        # the first request holds the engine; the other seven coalesce
+        # behind it and leave together when it completes
+        engine = GatedEngine()
         n_clients = 8
-        with ServerThread(config) as h:
+        with ServerThread(ServeConfig(port=0, max_batch=8), engine=engine) as h:
             results = [None] * n_clients
-
-            def worker(i):
-                c = h.client(client_id=f"c{i}")
-                try:
-                    results[i] = c.evaluate(ALLOCATION, request_id=f"r{i}")
-                finally:
-                    c.close()
-
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(n_clients)
-            ]
+            threads = [evaluate_in_thread(h, results, 0)]
+            assert engine.entered.wait(timeout=30)
+            threads += [evaluate_in_thread(h, results, i) for i in range(1, n_clients)]
+            wait_for_queue_depth(h, n_clients - 1)
+            engine.release.set()
             for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+                t.join(timeout=30)
+                assert not t.is_alive()
             assert all(r is not None and r.status == 200 for r in results)
             # every response identical (same problem) and individually addressed
             bodies = [r.json for r in results]
@@ -216,10 +261,10 @@ class TestBatching:
             assert len({json.dumps(b["result"], sort_keys=True) for b in bodies}) == 1
             # coalescing must actually have happened
             assert h.server.n_requests == n_clients
-            assert h.server.n_engine_calls < n_clients
+            assert h.server.n_engine_calls == 2
 
     def test_different_tau_requests_do_not_share_a_batch(self):
-        config = ServeConfig(port=0, max_batch=8, flush_ms=10.0)
+        config = ServeConfig(port=0, max_batch=8)
         with ServerThread(config) as h:
             c = h.client()
             a = c.evaluate(ALLOCATION).json
@@ -228,48 +273,57 @@ class TestBatching:
             assert b["result"]["tau"] == 2.0
             c.close()
 
+    def test_idle_server_dispatches_each_request_at_once(self):
+        # work-conserving: a lone client never waits for co-batching
+        # partners, and one population request still rides one batch
+        n = 5
+        with ServerThread(ServeConfig(port=0)) as h:
+            c = h.client()
+            before = c.metrics()
+            for i in range(n):
+                assert c.evaluate({**ALLOCATION, "mapping": [i % 2, 1, 0]}).status == 200
+            after = c.metrics()
+            assert batches_total(after, "idle") - batches_total(before, "idle") == n
+            assert h.server.n_engine_calls == n
+            population = [{**ALLOCATION, "mapping": [i % 2, (i // 2) % 2, 0]} for i in range(8)]
+            reply = c.evaluate_population(population)
+            assert reply.status == 200 and reply.json["ok"] is True
+            assert h.server.n_engine_calls == n + 1
+            c.close()
+
 
 class TestBackpressure:
     def test_queue_full_answers_429_with_retry_after(self):
-        # one-slot queue that never deadline-flushes: the first request parks,
-        # the second must be shed
-        config = ServeConfig(port=0, max_batch=100, flush_ms=60_000.0, max_pending=1)
-        h = ServerThread(config).start()
+        # a one-slot queue behind a batch held in flight: the second request
+        # parks, the third must be shed
+        engine = GatedEngine()
+        config = ServeConfig(port=0, max_batch=100, max_pending=1)
+        h = ServerThread(config, engine=engine).start()
+        results = [None, None]
+        threads = []
         try:
-            parked = {}
-
-            def park():
-                c = h.client(client_id="parked")
-                try:
-                    parked["reply"] = c.evaluate(ALLOCATION)
-                finally:
-                    c.close()
-
-            t = threading.Thread(target=park)
-            t.start()
+            threads.append(evaluate_in_thread(h, results, 0))
+            assert engine.entered.wait(timeout=30)
+            threads.append(evaluate_in_thread(h, results, 1))
+            wait_for_queue_depth(h, 1)
             probe = h.client(client_id="probe")
-            deadline = 50
-            for _ in range(deadline):
-                if h.client().healthz().json["queue_depth"] == 1:
-                    break
-                import time
-
-                time.sleep(0.02)
-            else:
-                pytest.fail("first request never reached the queue")
             reply = probe.evaluate(ALLOCATION)
             assert reply.status == 429
             assert reply.retry_after is not None and reply.retry_after >= 1
             probe.close()
         finally:
-            # drain completes the parked request rather than dropping it
+            engine.release.set()
+            # the drain answers the parked request rather than dropping it
             h.stop()
-        t.join(timeout=30)
-        assert parked["reply"].status == 200
-        assert parked["reply"].json["ok"] is True
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        for reply in results:
+            assert reply.status == 200
+            assert reply.json["ok"] is True
 
     def test_quota_exhaustion_answers_429(self):
-        config = ServeConfig(port=0, flush_ms=2.0, rate=0.001, burst=1.0)
+        config = ServeConfig(port=0, rate=0.001, burst=1.0)
         with ServerThread(config) as h:
             c = h.client(client_id="greedy")
             assert c.evaluate(ALLOCATION).status == 200
