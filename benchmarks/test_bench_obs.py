@@ -72,7 +72,7 @@ def _problems(n: int):
 
 def _engine() -> RobustnessEngine:
     return RobustnessEngine(
-        config=SolverConfig(pool_size=0, max_retries=0, cache_size=0)
+        config=SolverConfig(pool_size=0, cache_size=0)
     )
 
 

@@ -35,7 +35,7 @@ OUT_DIR = Path(__file__).parent / "out"
 #: cost budgets without failing on a tiny-but-noisy baseline.
 CHECKS = [
     ("BENCH_engine.json", "speedup", "higher", 0.4),
-    ("BENCH_engine.json", "shm_speedup_over_process", "higher", 0.7),
+    ("BENCH_engine.json", "batched_speedup_over_per_task", "higher", 0.7),
     ("BENCH_lint.json", "speedup", "higher", 0.4),
     ("BENCH_lint.json", "concur_files_per_second", "higher", 0.4),
     ("BENCH_lint.json", "perf_files_per_second", "higher", 0.4),

@@ -1,18 +1,14 @@
 """Deprecation-hygiene rule: R009 internal use of deprecated entry points.
 
 The PR-1 configuration redesign left compatibility shims behind —
-``solver_options=`` (now raising after its deprecation cycle), plain dicts
-passed to ``config=`` (still warning, one release behind) and the legacy
-pool fan-out (``solve_radius_tasks`` / ``radius_task``, superseded by the
-:class:`~repro.engine.backends.ExecutionBackend` protocol and
-:func:`~repro.engine.fault.solve_radius_tasks_isolated`).  The shims exist
-for *external* callers; internal code routing through them re-arms exactly
-the migration the deprecation cycle is trying to finish.  R009 flags those
-internal uses so the tree stays swept between releases.
+``solver_options=`` (now raising after its deprecation cycle) and plain
+dicts passed to ``config=`` (still warning, one release behind).  The shims
+exist for *external* callers; internal code routing through them re-arms
+exactly the migration the deprecation cycle is trying to finish.  R009
+flags those internal uses so the tree stays swept between releases.
 
 Tests are exempt: exercising a shim's warning/raising behavior is their
-job.  The one legitimate non-test use — the shim implementation and its
-re-export for compatibility — carries an inline ``# repro: noqa[R009]``.
+job.
 """
 
 from __future__ import annotations
@@ -20,16 +16,11 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.analysis.context import FileContext, dotted_name
+from repro.analysis.context import FileContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import Rule, register
 
 __all__ = ["DeprecatedEntryPointRule"]
-
-#: legacy pool fan-out entry points (module-qualified), superseded by the
-#: ExecutionBackend protocol
-_LEGACY_POOL_FUNCS = frozenset({"solve_radius_tasks", "radius_task"})
-_LEGACY_POOL_MODULES = frozenset({"repro.engine", "repro.engine.pool"})
 
 
 @register
@@ -39,19 +30,14 @@ class DeprecatedEntryPointRule(Rule):
     code = "R009"
     name = "deprecated-entry-point"
     description = (
-        "internal use of a deprecated entry point (solver_options=, dict "
-        "config=, or the legacy pool fan-out); migrate to SolverConfig and "
-        "the ExecutionBackend protocol — shims are for external callers"
+        "internal use of a deprecated entry point (solver_options= or dict "
+        "config=); migrate to SolverConfig — shims are for external callers"
     )
     severity = Severity.WARNING
     applies_to_tests = False
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        legacy_imports = self._legacy_imports(ctx)
         for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                yield from self._check_import(ctx, node)
-                continue
             if not isinstance(node, ast.Call):
                 continue
             for kw in node.keywords:
@@ -69,48 +55,6 @@ class DeprecatedEntryPointRule(Rule):
                         "dict literal passed to config= rides a deprecated "
                         "shim; pass config=SolverConfig(...)",
                     )
-            name = dotted_name(node.func)
-            if name is not None:
-                tail = name.rsplit(".", 1)[-1]
-                if tail in _LEGACY_POOL_FUNCS and (
-                    name in legacy_imports or self._module_qualified(name)
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"legacy pool entry point {tail}(); use "
-                        "solve_radius_tasks_isolated over an "
-                        "ExecutionBackend",
-                    )
-
-    def _check_import(
-        self, ctx: FileContext, node: "ast.Import | ast.ImportFrom"
-    ) -> Iterator[Finding]:
-        if isinstance(node, ast.ImportFrom):
-            if node.module in _LEGACY_POOL_MODULES:
-                for alias in node.names:
-                    if alias.name in _LEGACY_POOL_FUNCS:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"import of legacy pool entry point "
-                            f"{alias.name!r}; use the ExecutionBackend "
-                            "protocol (repro.engine.backends)",
-                        )
-
-    @staticmethod
-    def _legacy_imports(ctx: FileContext) -> set[str]:
-        """Local names bound to a legacy pool function by a from-import."""
-        names: set[str] = set()
-        for local, (module, orig) in ctx.from_imports.items():
-            if module in _LEGACY_POOL_MODULES and orig in _LEGACY_POOL_FUNCS:
-                names.add(local)
-        return names
-
-    @staticmethod
-    def _module_qualified(name: str) -> bool:
-        head = name.rsplit(".", 1)[0] if "." in name else ""
-        return head in ("pool", "engine") or head.endswith((".pool", ".engine"))
 
     @staticmethod
     def _is_none(node: ast.AST) -> bool:

@@ -22,7 +22,7 @@ from repro.analysis.registry import Rule, register
 __all__ = ["UnpicklableSubmitRule", "ExceptionReduceRule"]
 
 #: engine fan-out entry points whose task payloads cross the pool boundary
-_FANOUT_FUNCS = frozenset({"solve_radius_tasks", "solve_radius_tasks_isolated"})
+_FANOUT_FUNCS = frozenset({"solve_radius_tasks_isolated"})
 
 
 def _collect_unpicklable_names(tree: ast.Module) -> set[str]:

@@ -36,8 +36,10 @@ __all__ = ["SummaryStore", "CACHE_VERSION", "DEFAULT_CACHE_PATH", "content_hash"
 #: spawns, blocking calls, obs-context flags — for R110–R114;
 #: v4: performance facts — ndarray-typed locals, loop regions, element
 #: loops, loop-invariant calls, accumulation sites — for R120–R124, plus
-#: fix payloads on cached raw findings)
-CACHE_VERSION = 4
+#: fix payloads on cached raw findings; v5: R009 lost its legacy-pool
+#: checks and R004 its ``solve_radius_tasks`` fan-out name, so cached raw
+#: findings from v4 may be stale)
+CACHE_VERSION = 5
 
 #: default store location used by ``repro lint`` (cwd-relative)
 DEFAULT_CACHE_PATH = Path(".repro-lint-cache.json")

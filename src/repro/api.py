@@ -6,7 +6,7 @@ execution-backend selection::
     from repro import api
 
     result = api.evaluate(features, parameter)
-    batch = api.evaluate_population(problems, backend="shm", on_error="record")
+    batch = api.evaluate_population(problems, backend="process", on_error="record")
     curve = api.robustness_curve(mappings, etc, taus=[1.1, 1.2, 1.5])
     report = api.evaluate_resilience(mapping, etc, schedule, tau=1.2)
 
@@ -15,7 +15,7 @@ Every function accepts the same orthogonal keywords:
 - ``norm=`` — a :class:`~repro.core.norms.Norm` or name (default l2);
 - ``config=`` — a :class:`~repro.core.config.SolverConfig`;
 - ``backend=`` — execution substrate of numeric solves: a registered name
-  (``"serial"`` / ``"thread"`` / ``"process"`` / ``"shm"``), an
+  (``"serial"`` / ``"process"``), an
   :class:`~repro.engine.backends.ExecutionBackend` class or instance, or
   None for the default resolution (``REPRO_BACKEND`` env var, then the
   ``pool_size`` heuristic);

@@ -770,13 +770,9 @@ def _cmd_trace(args) -> int:
 
 def _cmd_serve(args) -> int:
     import asyncio
-    import os
 
     from repro.serve import RobustnessServer, ServeConfig
 
-    # --backend beats REPRO_BACKEND beats the service default (asyncio —
-    # unlike library use, a server wants the loop-friendly substrate)
-    backend = args.backend or os.environ.get("REPRO_BACKEND") or "asyncio"
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -784,7 +780,7 @@ def _cmd_serve(args) -> int:
         max_pending=args.max_pending,
         rate=args.rate,
         burst=args.burst,
-        backend=backend,
+        backend=args.backend,
     )
     server = RobustnessServer(config)
 
@@ -792,7 +788,7 @@ def _cmd_serve(args) -> int:
         await server.start()
         print(
             f"repro serve: listening on http://{config.host}:{server.port} "
-            f"(batch={config.max_batch}, backend={config.backend})"
+            f"(batch={config.max_batch}, backend={server.backend_name})"
         )
         try:
             while True:

@@ -55,11 +55,6 @@ class SolverConfig:
     pool_size:
         Worker processes used by :class:`~repro.engine.RobustnessEngine` to
         fan out numeric solves (``0`` = solve in-process, no pool).
-    chunk_size:
-        Historical chunked-map knob.  The fault-isolated solve layer submits
-        one future per task (so a crashed worker or hung solve poisons only
-        that task), which makes chunking moot; the field is kept so existing
-        configs stay valid, and is ignored by the per-task path.
     cache_size:
         Entries of the engine's LRU boundary-solve cache (``0`` disables
         caching).
@@ -70,13 +65,6 @@ class SolverConfig:
         SolverTimeoutError`, and retried with a doubled deadline per the
         engine's :class:`~repro.engine.fault.RetryPolicy`.  Only enforceable
         when a pool is in use — in-process solves cannot be preempted.
-    max_retries:
-        Extra attempts after the first failed one (``0`` = fail immediately).
-        Each retry escalates the solve (more multi-starts, tighter ``ftol``)
-        before the engine falls back per ``on_error``.
-    backoff_base:
-        Base delay, in seconds, of the exponential backoff between retry
-        attempts (doubled per attempt, with deterministic seeded jitter).
     """
 
     solver: str = "auto"
@@ -85,11 +73,8 @@ class SolverConfig:
     maxiter: int = 200
     ftol: float = 1e-12
     pool_size: int = 0
-    chunk_size: int | None = None
     cache_size: int = 256
     task_timeout: float | None = None
-    max_retries: int = 2
-    backoff_base: float = 0.05
 
     def __post_init__(self) -> None:
         if self.solver not in _SOLVERS:
@@ -104,8 +89,6 @@ class SolverConfig:
             raise ValidationError("ftol must be > 0")
         if int(self.pool_size) < 0:
             raise ValidationError("pool_size must be >= 0")
-        if self.chunk_size is not None and int(self.chunk_size) <= 0:
-            raise ValidationError("chunk_size must be >= 1 (or None)")
         if int(self.cache_size) < 0:
             raise ValidationError("cache_size must be >= 0")
         if self.task_timeout is not None:
@@ -114,13 +97,6 @@ class SolverConfig:
                 raise ValidationError(
                     f"task_timeout must be > 0 seconds (or None), got {self.task_timeout!r}"
                 )
-        if int(self.max_retries) < 0:
-            raise ValidationError("max_retries must be >= 0")
-        backoff = float(self.backoff_base)
-        if math.isnan(backoff) or backoff < 0 or math.isinf(backoff):
-            raise ValidationError(
-                f"backoff_base must be a finite number >= 0, got {self.backoff_base!r}"
-            )
 
     def numeric_kwargs(self) -> dict:
         """Keyword arguments for :func:`repro.core.solvers.numeric.boundary_min_norm`."""

@@ -9,7 +9,7 @@ bit-for-bit identical to the per-mapping scalar API.
 
 See :mod:`repro.engine.engine` for the evaluator,
 :mod:`repro.engine.backends` for the execution-backend protocol
-(serial / thread / process / shared-memory / asyncio),
+(serial / process),
 :mod:`repro.engine.cache` for the in-memory solve cache,
 :mod:`repro.engine.store` for the persistent solve store and
 :mod:`repro.engine.fault` for the fault-isolated scheduler
@@ -18,14 +18,11 @@ See :mod:`repro.engine.engine` for the evaluator,
 
 from repro.engine.backends import (
     BACKEND_NAMES,
-    AsyncioBackend,
     BackendCapabilities,
     BackendSpec,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    SharedMemoryBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.engine.cache import RadiusCache, norm_cache_key
@@ -40,7 +37,6 @@ from repro.engine.fault import (
     RetryPolicy,
     solve_radius_tasks_isolated,
 )
-from repro.engine.pool import radius_task, solve_radius_tasks  # repro: noqa[R009] - legacy re-export kept for compatibility
 from repro.engine.store import RadiusStore
 
 __all__ = [
@@ -51,8 +47,6 @@ __all__ = [
     "RadiusCache",
     "RadiusStore",
     "norm_cache_key",
-    "radius_task",
-    "solve_radius_tasks",
     "solve_radius_tasks_isolated",
     "RetryPolicy",
     "FailureRecord",
@@ -61,9 +55,6 @@ __all__ = [
     "BackendSpec",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessPoolBackend",
-    "SharedMemoryBackend",
-    "AsyncioBackend",
     "resolve_backend",
 ]

@@ -1,32 +1,19 @@
-"""Pluggable execution backends for radius solves.
+"""Execution backends for radius solves.
 
-The fault-isolated scheduler (:mod:`repro.engine.fault`) used to be welded
-to :class:`concurrent.futures.ProcessPoolExecutor`.  This module makes the
-execution substrate a first-class API: an :class:`ExecutionBackend` exposes
-``submit`` / ``map`` / ``shutdown`` plus a :class:`BackendCapabilities`
-record, and the supervision ladder (retries, deadlines, crash attribution,
+An :class:`ExecutionBackend` exposes ``submit`` / ``map`` / ``shutdown``
+plus a :class:`BackendCapabilities` record; the supervision ladder of
+:mod:`repro.engine.fault` (retries, deadlines, crash attribution,
 degradation) is written once against that protocol.
 
-Five backends ship:
+Two backends ship:
 
 - :class:`SerialBackend` — runs tasks inline in the calling thread.  No
-  parallelism, no pickling; the reference substrate every other backend
-  must match bit-for-bit.
-- :class:`ThreadBackend` — a :class:`~concurrent.futures.ThreadPoolExecutor`.
-  Parallel but not isolated: a crashing task takes the process with it, and
-  a hung task cannot be preempted (an abandoned thread runs to completion).
-- :class:`ProcessPoolBackend` — the historical
-  :class:`~concurrent.futures.ProcessPoolExecutor` behavior: isolated
-  workers, enforceable deadlines, payloads must pickle.
-- :class:`SharedMemoryBackend` — a process pool whose payload arrays travel
-  through :mod:`multiprocessing.shared_memory` instead of the pickle pipe
-  (zero-copy for large ``float64`` arrays), with an additional *batched*
-  capability the scheduler uses to amortize per-future overhead.
-- :class:`AsyncioBackend` — an :mod:`asyncio` event loop on a daemon
-  thread; each task is a coroutine that bounds concurrency with a
-  semaphore and hands the CPU-bound solve to an inner thread pool.  The
-  substrate a host application embedding the engine in an async service
-  would use; like :class:`ThreadBackend` it is parallel but not isolated.
+  parallelism, no pickling; the default and the reference substrate the
+  other backend must match bit-for-bit.
+- :class:`ProcessPoolBackend` — a
+  :class:`~concurrent.futures.ProcessPoolExecutor`: isolated workers, so a
+  crashing solve is contained and a hung one can be preempted; payloads
+  must pickle.  The scheduler sends it tasks in chunks when it can.
 
 Backend selection (:func:`resolve_backend`) has a strict precedence: an
 explicit ``backend=`` argument (name, class or instance) wins over the
@@ -38,20 +25,11 @@ while letting a CI matrix re-route the whole suite through one env var.
 
 from __future__ import annotations
 
-import asyncio
-import copy
-import functools
 import os
-import pickle
-import threading
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from collections.abc import Callable, Iterable
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from io import BytesIO
-from multiprocessing import shared_memory
 from typing import Any, ClassVar
-
-import numpy as np
 
 from repro.exceptions import ValidationError
 
@@ -59,53 +37,30 @@ __all__ = [
     "BackendCapabilities",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessPoolBackend",
-    "SharedMemoryBackend",
-    "AsyncioBackend",
     "BackendSpec",
     "BACKEND_NAMES",
     "get_backend_class",
-    "register_backend",
     "resolve_backend",
 ]
 
 #: environment variable consulted when no explicit backend is given
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-#: arrays smaller than this pickle inline — a shared-memory segment per
-#: tiny vector would cost more than it saves
-SHM_MIN_ARRAY_BYTES = 128
-
 
 @dataclass(frozen=True)
 class BackendCapabilities:
     """What one execution backend can and cannot do.
 
-    The scheduler consults these flags instead of ``isinstance`` checks:
-    ``requires_pickling`` gates the representative pickle probe,
-    ``isolated`` decides whether a crashing task can be contained,
-    ``enforces_deadlines`` whether a hung task can be abandoned without
-    leaking work into the parent, and ``batched`` whether the backend
-    profits from chunked submission (see
-    :func:`repro.engine.fault.chunk_radius_tasks`).
+    The scheduler consults this record instead of ``isinstance`` checks:
+    ``isolated`` backends get the representative pickle probe, chunked
+    dispatch, enforceable deadlines and crash containment.
     """
 
-    #: registry name of the backend ("serial", "thread", "process", "shm",
-    #: "asyncio")
+    #: registry name of the backend ("serial", "process")
     name: str
-    #: True when tasks can run concurrently
-    parallel: bool
-    #: True when tasks run in a separate process (crash containment)
+    #: True when tasks run in a separate process
     isolated: bool
-    #: True when an overrun task can be abandoned without poisoning the caller
-    enforces_deadlines: bool
-    #: True when large arrays cross the boundary without a pickle copy
-    zero_copy: bool
-    #: True when payloads and results must survive ``pickle.dumps``
-    requires_pickling: bool
-    #: True when the scheduler should prefer chunked submission
-    batched: bool
 
 
 class ExecutionBackend:
@@ -154,15 +109,7 @@ class SerialBackend(ExecutionBackend):
     identical across backends.
     """
 
-    capabilities = BackendCapabilities(
-        name="serial",
-        parallel=False,
-        isolated=False,
-        enforces_deadlines=False,
-        zero_copy=False,
-        requires_pickling=False,
-        batched=False,
-    )
+    capabilities = BackendCapabilities(name="serial", isolated=False)
 
     def submit(self, fn: Callable[[Any], Any], payload: Any) -> "Future[Any]":
         future: Future[Any] = Future()
@@ -176,57 +123,15 @@ class SerialBackend(ExecutionBackend):
         """Nothing to release."""
 
 
-class ThreadBackend(ExecutionBackend):
-    """A :class:`~concurrent.futures.ThreadPoolExecutor` substrate.
-
-    Parallel for workloads that release the GIL (the SLSQP inner loops
-    spend most of their time in numpy/scipy), with no pickling cost.  Not
-    isolated: an ``os._exit`` in a task kills the whole process, and an
-    abandoned deadline-overrun thread keeps running until its task returns
-    (the executor is discarded, not the thread).  Attempt-aware fault
-    injectors are racy here — :data:`repro.faults.inject.CURRENT_ATTEMPT`
-    is process-global, so concurrent tasks at different attempts can
-    observe each other's value.
-    """
-
-    capabilities = BackendCapabilities(
-        name="thread",
-        parallel=True,
-        isolated=False,
-        enforces_deadlines=False,
-        zero_copy=True,
-        requires_pickling=False,
-        batched=False,
-    )
-
-    def __init__(self, max_workers: int = 1) -> None:
-        super().__init__(max_workers)
-        self._executor = ThreadPoolExecutor(max_workers=self.max_workers)
-
-    def submit(self, fn: Callable[[Any], Any], payload: Any) -> "Future[Any]":
-        return self._executor.submit(fn, payload)
-
-    def shutdown(self, *, kill: bool = False) -> None:
-        self._executor.shutdown(wait=not kill, cancel_futures=kill)
-
-
 class ProcessPoolBackend(ExecutionBackend):
-    """The historical process-pool substrate, extracted from the scheduler.
+    """A :class:`~concurrent.futures.ProcessPoolExecutor` substrate.
 
     Workers are separate processes: a crash surfaces as a broken executor
     (which the supervisor attributes and contains), and a hung worker can
     be terminated.  Payloads and results must pickle.
     """
 
-    capabilities = BackendCapabilities(
-        name="process",
-        parallel=True,
-        isolated=True,
-        enforces_deadlines=True,
-        zero_copy=False,
-        requires_pickling=True,
-        batched=False,
-    )
+    capabilities = BackendCapabilities(name="process", isolated=True)
 
     def __init__(self, max_workers: int = 1) -> None:
         super().__init__(max_workers)
@@ -249,328 +154,13 @@ class ProcessPoolBackend(ExecutionBackend):
                 pass
 
 
-# -- shared-memory payload codec ---------------------------------------------
-
-
-def _noop_register(name: str, rtype: str) -> None:
-    """Stand-in for ``resource_tracker.register`` during attach.
-
-    Python 3.11's :class:`~multiprocessing.shared_memory.SharedMemory`
-    registers every *attach* with the resource tracker, so a worker merely
-    reading a segment would schedule a spurious unlink of the parent's
-    memory at interpreter exit.  Workers therefore attach with registration
-    suppressed; the creating process owns the unlink.
-    """
-
-
-def attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without resource-tracker registration."""
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = _noop_register  # type: ignore[assignment]
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original  # type: ignore[assignment]
-
-
-class _ShmPickler(pickle.Pickler):
-    """Pickler that externalizes large float64 arrays into a side channel.
-
-    Qualifying arrays (C-contiguous ``float64`` of at least
-    :data:`SHM_MIN_ARRAY_BYTES`) are replaced by a persistent id and
-    collected on :attr:`arrays`; everything else pickles normally.
-    """
-
-    def __init__(self, file: BytesIO) -> None:
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self.arrays: list[np.ndarray] = []
-
-    def persistent_id(self, obj: Any) -> Any:
-        if (
-            isinstance(obj, np.ndarray)
-            and obj.dtype == np.float64
-            and obj.flags["C_CONTIGUOUS"]
-            and obj.nbytes >= SHM_MIN_ARRAY_BYTES
-        ):
-            self.arrays.append(obj)
-            return ("repro-shm", len(self.arrays) - 1)
-        return None
-
-
-class _ShmUnpickler(pickle.Unpickler):
-    """Counterpart of :class:`_ShmPickler`: resolves ids to segment views."""
-
-    def __init__(self, file: BytesIO, views: Sequence[np.ndarray]) -> None:
-        super().__init__(file)
-        self._views = views
-
-    def persistent_load(self, pid: Any) -> Any:
-        tag, index = pid
-        if tag != "repro-shm":  # pragma: no cover - corrupt payload guard
-            raise pickle.UnpicklingError(f"unknown persistent id tag {tag!r}")
-        return self._views[int(index)]
-
-
-def pack_payload(
-    payload: Any,
-) -> tuple[bytes, shared_memory.SharedMemory | None, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """Encode ``payload`` with large arrays hoisted into one shared segment.
-
-    Returns ``(pickled, segment, descriptors)`` where ``descriptors`` holds
-    each hoisted array's ``(offset, shape)`` within the segment.  When no
-    array qualifies, ``segment`` is None and ``pickled`` is a plain pickle
-    of the payload.
-    """
-    buf = BytesIO()
-    pickler = _ShmPickler(buf)
-    pickler.dump(payload)
-    if not pickler.arrays:
-        return buf.getvalue(), None, ()
-    total = sum(a.nbytes for a in pickler.arrays)
-    segment = shared_memory.SharedMemory(create=True, size=max(1, total))
-    descriptors: list[tuple[int, tuple[int, ...]]] = []
-    offset = 0
-    for arr in pickler.arrays:
-        view: np.ndarray = np.ndarray(
-            arr.shape, dtype=np.float64, buffer=segment.buf, offset=offset
-        )
-        view[...] = arr
-        descriptors.append((offset, arr.shape))
-        offset += arr.nbytes
-    return buf.getvalue(), segment, tuple(descriptors)
-
-
-def unpack_payload(
-    data: bytes,
-    segment: shared_memory.SharedMemory | None,
-    descriptors: tuple[tuple[int, tuple[int, ...]], ...],
-) -> Any:
-    """Decode a payload produced by :func:`pack_payload`.
-
-    Hoisted arrays come back as *read-only views* into the segment — the
-    caller must keep the segment open while the payload is in use, and must
-    deep-copy anything derived from those views before closing it.
-    """
-    if segment is None:
-        return pickle.loads(data)
-    views = []
-    for offset, shape in descriptors:
-        view: np.ndarray = np.ndarray(
-            shape, dtype=np.float64, buffer=segment.buf, offset=offset
-        )
-        view.flags.writeable = False
-        views.append(view)
-    return _ShmUnpickler(BytesIO(data), views).load()
-
-
-def shm_invoke(
-    fn: Callable[[Any], Any],
-    data: bytes,
-    segment_name: str | None,
-    descriptors: tuple[tuple[int, tuple[int, ...]], ...],
-) -> Any:
-    """Worker-side trampoline: rebuild the payload, run ``fn``, detach.
-
-    The result is deep-copied before the segment closes so no view into
-    shared memory survives into the (post-return) result pickling; the
-    parent unlinks the segment once the future completes.
-    """
-    if segment_name is None:
-        return fn(pickle.loads(data))
-    segment = attach_segment(segment_name)
-    try:
-        payload = unpack_payload(data, segment, descriptors)
-        result = copy.deepcopy(fn(payload))
-        del payload
-        return result
-    finally:
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - a stray view pins the buffer
-            pass
-
-
-class SharedMemoryBackend(ProcessPoolBackend):
-    """A process pool whose array traffic rides shared memory.
-
-    ``submit`` packs each payload with :func:`pack_payload`: large float64
-    arrays (perturbation origins, impact coefficient matrices) are written
-    once into a :class:`~multiprocessing.shared_memory.SharedMemory`
-    segment and the worker maps them zero-copy, while the remaining object
-    graph travels as a small pickle.  Payloads with no qualifying array
-    fall through to plain pickling — the backend is then exactly a
-    :class:`ProcessPoolBackend`.
-
-    Segment lifecycle: the parent creates and unlinks (a done-callback per
-    future); workers attach with resource-tracker registration suppressed
-    (see :func:`attach_segment`) and never unlink.
-    """
-
-    capabilities = BackendCapabilities(
-        name="shm",
-        parallel=True,
-        isolated=True,
-        enforces_deadlines=True,
-        zero_copy=True,
-        requires_pickling=True,
-        batched=True,
-    )
-
-    def __init__(self, max_workers: int = 1) -> None:
-        super().__init__(max_workers)
-        self._segments: dict[str, shared_memory.SharedMemory] = {}
-
-    def submit(self, fn: Callable[[Any], Any], payload: Any) -> "Future[Any]":
-        data, segment, descriptors = pack_payload(payload)
-        if segment is None:
-            return self._executor.submit(fn, payload)
-        self._segments[segment.name] = segment
-        try:
-            future = self._executor.submit(
-                shm_invoke, fn, data, segment.name, descriptors
-            )
-        except BaseException:
-            self._release(segment.name)
-            raise
-        future.add_done_callback(functools.partial(self._done, segment.name))
-        return future
-
-    def _done(self, name: str, _future: "Future[Any]") -> None:
-        self._release(name)
-
-    def _release(self, name: str) -> None:
-        segment = self._segments.pop(name, None)
-        if segment is None:
-            return
-        try:
-            segment.close()
-            segment.unlink()
-        except OSError:  # pragma: no cover - already unlinked at teardown
-            pass
-
-    def shutdown(self, *, kill: bool = False) -> None:
-        super().shutdown(kill=kill)
-        for name in list(self._segments):
-            self._release(name)
-
-
-class AsyncioBackend(ExecutionBackend):
-    """An :mod:`asyncio` event loop running on a dedicated daemon thread.
-
-    ``submit`` schedules one coroutine per task with
-    :func:`asyncio.run_coroutine_threadsafe`, which already returns the
-    :class:`concurrent.futures.Future` the supervisor expects.  The
-    coroutine bounds in-flight work with a semaphore sized to
-    ``max_workers`` and delegates the CPU-bound solve itself to an inner
-    :class:`~concurrent.futures.ThreadPoolExecutor` via
-    ``loop.run_in_executor`` — the event loop only coordinates, so a
-    long-running solve never starves other tasks' scheduling.
-
-    Capability-wise this is a sibling of :class:`ThreadBackend`: parallel
-    (for GIL-releasing workloads), zero-copy, nothing to pickle, but not
-    isolated — a hard crash in a task takes the whole process down, and a
-    deadline overrun can only be abandoned, not preempted.  The inner pool
-    threads inherit the submitter's :mod:`contextvars` context exactly like
-    a plain thread pool, so observability spans propagate unchanged.
-    """
-
-    capabilities = BackendCapabilities(
-        name="asyncio",
-        parallel=True,
-        isolated=False,
-        enforces_deadlines=False,
-        zero_copy=True,
-        requires_pickling=False,
-        batched=False,
-    )
-
-    def __init__(self, max_workers: int = 1) -> None:
-        super().__init__(max_workers)
-        self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-        self._sem: asyncio.Semaphore | None = None
-        self._closed = False
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-asyncio-backend", daemon=True
-        )
-        self._thread.start()
-
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._loop.run_forever()
-        finally:
-            # After stop(): cancel whatever is still in flight and let the
-            # cancellations settle before closing, so no task is destroyed
-            # pending.  Loop until quiescent — a late submit's ensure_future
-            # callback can materialize a task during the first drain pass.
-            while True:
-                pending = asyncio.all_tasks(self._loop)
-                if not pending:
-                    break
-                for task in pending:
-                    task.cancel()
-                self._loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            self._loop.close()
-
-    async def _invoke(self, fn: Callable[[Any], Any], payload: Any) -> Any:
-        # Lazily built on the loop thread so it binds to the right loop;
-        # coroutines only interleave at awaits, so the check is race-free.
-        if self._sem is None:
-            self._sem = asyncio.Semaphore(self.max_workers)
-        async with self._sem:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(self._pool, fn, payload)
-
-    def submit(self, fn: Callable[[Any], Any], payload: Any) -> "Future[Any]":
-        return asyncio.run_coroutine_threadsafe(self._invoke(fn, payload), self._loop)
-
-    async def _drain(self) -> None:
-        current = asyncio.current_task()
-        pending = [t for t in asyncio.all_tasks() if t is not current]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-
-    def shutdown(self, *, kill: bool = False) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if kill:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            if self._loop.is_running():
-                asyncio.run_coroutine_threadsafe(self._drain(), self._loop).result()
-            self._pool.shutdown(wait=True)
-        if self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5.0)
-
-
 # -- registry and resolution --------------------------------------------------
 
-_REGISTRY: dict[str, type[ExecutionBackend]] = {}
+_REGISTRY: dict[str, type[ExecutionBackend]] = {
+    cls.capabilities.name: cls for cls in (SerialBackend, ProcessPoolBackend)
+}
 
-
-def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
-    """Register a backend class under its capabilities name (decorator)."""
-    _REGISTRY[cls.capabilities.name] = cls
-    return cls
-
-
-for _cls in (
-    SerialBackend,
-    ThreadBackend,
-    ProcessPoolBackend,
-    SharedMemoryBackend,
-    AsyncioBackend,
-):
-    register_backend(_cls)
-
-#: the built-in backend names, in registration order
+#: the built-in backend names
 BACKEND_NAMES = tuple(_REGISTRY)
 
 
@@ -644,9 +234,8 @@ def resolve_backend(
     Precedence: explicit ``backend`` (name, class, instance or spec) over
     the ``REPRO_BACKEND`` environment variable over the legacy heuristic
     (``pool_size > 0`` selects ``"process"``, otherwise ``"serial"``).
-    ``pool_size`` also sizes the worker count of parallel backends
-    (minimum 1 worker; ``pool_size <= 0`` with an explicitly parallel
-    backend gets 2 workers).
+    ``pool_size`` also sizes the worker count of the process backend
+    (``pool_size <= 0`` with an explicit ``"process"`` gets 2 workers).
     """
     if isinstance(backend, BackendSpec):
         return backend

@@ -14,8 +14,8 @@ quantities for the whole population at once:
   feasibility *and* the Section-4.3 slack read off the same pass;
 - **generic FePIA** — affine features through the scalar closed form,
   non-affine features through an LRU solve cache
-  (:class:`~repro.engine.cache.RadiusCache`) and an optional process pool
-  (:mod:`repro.engine.pool`).
+  (:class:`~repro.engine.cache.RadiusCache`) and an execution backend
+  (:mod:`repro.engine.backends`, serial by default).
 
 Batched results are bit-for-bit identical to the per-mapping scalar path
 (the parity test suite asserts ``np.array_equal``, not ``allclose``): the
@@ -562,8 +562,8 @@ class RobustnessEngine:
 
         Affine features go through the scalar closed form; non-affine
         features are deduplicated against the LRU cache, and the remaining
-        numeric solves are fanned over the configured process pool (serial
-        when ``pool_size == 0`` or the tasks do not pickle) with per-task
+        numeric solves run on the engine's execution backend (serial unless
+        a ``process`` backend is selected and the tasks pickle) with per-task
         fault isolation (:mod:`repro.engine.fault`).
 
         ``on_error`` controls terminal solve failures: ``"raise"`` (default,

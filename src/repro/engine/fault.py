@@ -2,12 +2,12 @@
 
 The legacy pool fan-out (``executor.map``) was all-or-nothing: one
 ``SolverError``, one hung solve or one crashed worker aborted the whole
-batch.  This module replaces it with future-per-task submission plus a
-supervision loop that keeps every failure contained to its task.  The
-execution substrate is a pluggable :class:`~repro.engine.backends.
-ExecutionBackend` (serial / thread / process / shared-memory, selected via
-``backend=`` or the ``REPRO_BACKEND`` env var) and the whole ladder below
-is expressed once against that protocol:
+batch.  This module replaces it with supervised submission (one future per
+task, or per chunk of tasks on the process backend) that keeps every
+failure contained to its task.  The execution substrate is an
+:class:`~repro.engine.backends.ExecutionBackend` (serial / process,
+selected via ``backend=`` or the ``REPRO_BACKEND`` env var) and the whole
+ladder below is expressed once against that protocol:
 
 - **solver failures** (``SolverError``, retryable non-convergence) are
   retried under an escalation ladder (:class:`RetryPolicy`): more
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import pickle
 import time
 from collections import deque
@@ -129,12 +130,8 @@ class RetryPolicy:
 
     @classmethod
     def from_config(cls, config: SolverConfig) -> "RetryPolicy":
-        """Derive the policy from a :class:`~repro.core.config.SolverConfig`."""
-        return cls(
-            max_attempts=int(config.max_retries) + 1,
-            backoff_base=float(config.backoff_base),
-            seed=abs(int(config.seed)) if config.seed is not None else 0,
-        )
+        """The default policy, with its jitter seeded from ``config.seed``."""
+        return cls(seed=abs(int(config.seed)) if config.seed is not None else 0)
 
     def delay(self, task_index: int, attempt: int) -> float:
         """Backoff before retry ``attempt + 1`` of one task (deterministic)."""
@@ -235,27 +232,22 @@ class FailureRecord:
 def fault_radius_task(payload: tuple) -> "RadiusResult | obs_trace.TracedResult":
     """Worker entry point of the fault-isolated path.
 
-    ``payload`` is ``(task, attempt)``, ``(task, attempt, span_context)`` or
-    ``(task, attempt, span_context, same_process)``; the attempt number is
-    published to :data:`repro.faults.inject.CURRENT_ATTEMPT` before the
-    solve so injectors with ``heal_after_attempt`` semantics can observe
-    which retry they are running under (injector state is re-pickled fresh
+    ``payload`` is ``(task, attempt)`` or ``(task, attempt, span_context)``;
+    the attempt number is published to
+    :data:`repro.faults.inject.CURRENT_ATTEMPT` before the solve so
+    injectors with ``heal_after_attempt`` semantics can observe which retry
+    they are running under (injector state is re-pickled fresh
     on every submission, so per-process call counters alone cannot span
     attempts).
 
     When the payload carries a picklable
     :class:`~repro.obs.trace.SpanContext` (observability was enabled in the
     submitting process), the worker records its own solve span parented to
-    it.  Isolated backends ship the spans back inside a
+    it and ships the spans back inside a
     :class:`~repro.obs.trace.TracedResult`, which the supervisor unwraps
-    and ingests; same-process backends (``same_process=True``, e.g. the
-    thread backend) record straight into the installed tracer — tracing
-    never changes what the solver computes.
+    and ingests — tracing never changes what the solver computes.
     """
-    same_process = False
-    if len(payload) == 4:
-        task, attempt, span_ctx, same_process = payload
-    elif len(payload) == 3:
+    if len(payload) == 3:
         task, attempt, span_ctx = payload
     else:
         task, attempt = payload
@@ -276,25 +268,6 @@ def fault_radius_task(payload: tuple) -> "RadiusResult | obs_trace.TracedResult"
             return robustness_radius(
                 feature, parameter, norm=norm, apply_floor=False, config=config
             )
-        if same_process:
-            # worker thread of a same-process backend: the installed tracer
-            # is the parent's (it is thread-safe); only the span context
-            # needs activating in this thread
-            installed = obs_trace.get_tracer()
-            if installed is None:  # pragma: no cover - tracing raced off
-                return robustness_radius(
-                    feature, parameter, norm=norm, apply_floor=False, config=config
-                )
-            token = obs_trace.activate(span_ctx)
-            try:
-                with installed.span(
-                    "pool.worker.solve", task_attempt=int(attempt), feature=feature.name
-                ):
-                    return robustness_radius(
-                        feature, parameter, norm=norm, apply_floor=False, config=config
-                    )
-            finally:
-                obs_trace.deactivate(token)
         # traced pool submission: record into a fresh worker-local tracer and
         # ship the spans back (forked workers inherit the parent's enabled
         # state, so the installed tracer cannot be trusted here)
@@ -473,10 +446,10 @@ def solve_radius_tasks_isolated(
     Parameters
     ----------
     tasks:
-        ``(feature, parameter, norm, config)`` tuples, as consumed by
-        :func:`repro.engine.pool.radius_task`.
+        ``(feature, parameter, norm, config)`` tuples; each is solved by
+        :func:`repro.core.radius.robustness_radius` with ``apply_floor=False``.
     config:
-        Pool sizing, per-task deadline and retry knobs.
+        Pool sizing and the per-task deadline.
     policy:
         Retry/escalation policy; derived from ``config`` when None.
     on_error:
@@ -488,8 +461,8 @@ def solve_radius_tasks_isolated(
         ``"record"``, but solver-stage failures additionally fall back to a
         Monte-Carlo bound on the radius.
     backend:
-        Execution substrate: a registered name (``"serial"`` / ``"thread"``
-        / ``"process"`` / ``"shm"``), an :class:`~repro.engine.backends.
+        Execution substrate: a registered name (``"serial"`` /
+        ``"process"``), an :class:`~repro.engine.backends.
         ExecutionBackend` class or instance, a prebuilt
         :class:`~repro.engine.backends.BackendSpec`, or None for the
         default resolution (``REPRO_BACKEND`` env var, then the legacy
@@ -513,17 +486,8 @@ def solve_radius_tasks_isolated(
         policy = RetryPolicy.from_config(config)
     spec = resolve_backend(backend, config.pool_size)
     caps = spec.capabilities
-    serial = (
-        len(tasks) <= 1
-        or not caps.parallel
-        or (caps.requires_pickling and not _picklable_one(tasks[0]))
-    )
-    batched = (
-        not serial
-        and caps.batched
-        and on_error != "raise"
-        and config.task_timeout is None
-    )
+    serial = len(tasks) <= 1 or not caps.isolated or not _picklable_one(tasks[0])
+    batched = not serial and on_error != "raise" and config.task_timeout is None
     with obs_trace.maybe_span(
         "fault.solve_batch",
         n_tasks=len(tasks),
@@ -698,11 +662,10 @@ def chunk_radius_tasks(payload: tuple) -> "tuple | obs_trace.TracedResult":
             obs_trace.disable()
 
 
-def _batch_chunks(n_tasks: int, workers: int, chunk_size: int | None) -> list[tuple[int, int]]:
-    """``(start, stop)`` chunk bounds: ~4 chunks per worker unless pinned."""
-    from repro.engine.pool import default_chunksize
-
-    size = int(chunk_size) if chunk_size else default_chunksize(n_tasks, workers)
+def _batch_chunks(n_tasks: int, workers: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` chunk bounds: about four chunks per worker, which
+    amortizes IPC without starving workers."""
+    size = max(1, math.ceil(n_tasks / (workers * 4)))
     return [(start, min(start + size, n_tasks)) for start in range(0, n_tasks, size)]
 
 
@@ -713,12 +676,11 @@ def _solve_batched(
     on_error: str,
     spec: BackendSpec,
 ) -> tuple[list[RadiusResult], list[FailureRecord]]:
-    """Chunked fan-out for backends with the ``batched`` capability.
+    """Chunked fan-out over an isolated backend.
 
-    Amortizes per-future overhead (and, on the shared-memory backend, packs
-    each chunk's arrays into one segment).  Chunks that die with their
-    worker or fail to round-trip are re-run through the per-task supervisor
-    (fresh backend) so crash containment and attribution still hold.
+    Amortizes per-future overhead.  Chunks that die with their worker or
+    fail to round-trip are re-run through the per-task supervisor (fresh
+    backend) so crash containment and attribution still hold.
     """
     n = len(tasks)
     results: list[RadiusResult | None] = [None] * n
@@ -729,7 +691,7 @@ def _solve_batched(
     backend = spec.create()
     try:
         futures: dict[Future, tuple[int, int]] = {}
-        for start, stop in _batch_chunks(n, spec.workers, config.chunk_size):
+        for start, stop in _batch_chunks(n, spec.workers):
             if tracing:
                 _record_fault_event(
                     "pool.submit",
@@ -1067,12 +1029,7 @@ class _Supervisor:
                     backend=self.spec.name,
                 )
             assert self.executor is not None
-            same_process = not self.spec.capabilities.isolated
-            payload = (
-                ((feature, parameter, norm, cfg), attempt, span_ctx, True)
-                if same_process and span_ctx is not None
-                else ((feature, parameter, norm, cfg), attempt, span_ctx)
-            )
+            payload = ((feature, parameter, norm, cfg), attempt, span_ctx)
             try:
                 fut = self.executor.submit(fault_radius_task, payload)
             except (BrokenExecutor, RuntimeError):

@@ -27,8 +27,8 @@ on, modeling transient faults that a retry genuinely fixes.
 
 ``worker_only=True`` restricts firing to execution contexts other than the
 one that built the injector: raise/nan/hang fire once the PID *or* the
-thread differs from the constructing one (so they also work under the
-thread execution backend), while ``"crash"`` additionally requires a
+thread differs from the constructing one (so they also fire on another
+thread of the constructing process), while ``"crash"`` additionally requires a
 different PID — ``os._exit`` from a worker thread would take the whole
 parent down, which is not the fault being modeled.  Either way the engine's
 in-parent value probes never trip a fault meant for a worker.

@@ -4,10 +4,8 @@
 :mod:`http.client` — enough to exercise every endpoint from tests,
 benchmarks and scripts without adding a dependency.  :class:`ServerThread`
 runs a :class:`~repro.serve.server.RobustnessServer` on a dedicated event
-loop in a daemon thread (the same loop-on-a-thread pattern as
-:class:`~repro.engine.backends.AsyncioBackend`), so synchronous test code
-can start a real network server, talk to it over a real socket, and drain
-it — all in-process::
+loop in a daemon thread, so synchronous test code can start a real network
+server, talk to it over a real socket, and drain it — all in-process::
 
     with ServerThread(ServeConfig(port=0)) as harness:
         client = ServeClient("127.0.0.1", harness.port)

@@ -22,11 +22,13 @@ complete, when full, or at drain — so concurrent clients share stacked
 :meth:`~repro.engine.RobustnessEngine.evaluate_allocation` /
 :meth:`~repro.engine.RobustnessEngine.evaluate_population` passes.  Batches
 execute on a single-thread executor: the engine sees one call at a time
-(its own backend provides the parallelism), and the event loop never
-blocks.  Each request completes through a future parked in its queue
-payload, so a fault mid-batch degrades exactly the requests it belongs to
-(``on_error="record"`` failure records ride the JSON response) and the
-co-batched neighbors still get their bit-for-bit answers.
+(on the default ``serial`` backend numeric solves run inline on that
+thread; a ``process`` backend fans them out to worker processes), and the
+event loop never blocks.  Each request completes through a future parked
+in its queue payload, so a fault mid-batch degrades exactly the requests
+it belongs to (``on_error="record"`` failure records ride the JSON
+response) and the co-batched neighbors still get their bit-for-bit
+answers.
 
 Load shedding is explicit: per-client token buckets
 (:class:`~repro.serve.quotas.ClientQuotas`, keyed by ``X-Client-Id`` or
@@ -114,9 +116,8 @@ class ServeConfig:
     rate: float = 0.0
     #: per-client bucket capacity
     burst: float = 8.0
-    #: engine execution backend name (None = engine default resolution,
-    #: which honors ``REPRO_BACKEND`` — the CI backend matrix relies on it;
-    #: ``repro serve`` defaults to ``"asyncio"`` at the CLI layer)
+    #: engine execution backend name (None = engine default resolution:
+    #: ``REPRO_BACKEND``, then ``pool_size``, which gives ``"serial"``)
     backend: str | None = None
     #: cap on request body size (413 beyond it)
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
@@ -524,14 +525,18 @@ class RobustnessServer:
         await self._respond(writer, 200, dump_json(payload))
         return True
 
-    async def _get_healthz(self, writer: asyncio.StreamWriter) -> bool:
+    @property
+    def backend_name(self) -> str:
+        """Name of the execution backend the engine resolves to."""
         from repro.engine.backends import resolve_backend
 
-        spec = resolve_backend(self.engine.backend, self.engine.config.pool_size)
+        return resolve_backend(self.engine.backend, self.engine.config.pool_size).name
+
+    async def _get_healthz(self, writer: asyncio.StreamWriter) -> bool:
         payload = {
             "status": "draining" if self._draining else "ok",
             "protocol": PROTOCOL_VERSION,
-            "backend": spec.name,
+            "backend": self.backend_name,
             "queue_depth": self._queue.n_pending,
             "n_requests": self.n_requests,
             "n_engine_calls": self.n_engine_calls,

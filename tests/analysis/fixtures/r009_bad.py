@@ -1,15 +1,10 @@
-"""R009 fixture: internal use of deprecated entry points (5 findings)."""
-
-import repro.engine.pool as pool
-from repro.engine.pool import solve_radius_tasks
+"""R009 fixture: internal use of deprecated entry points (2 findings)."""
 
 from repro.core.metric import robustness_metric
 from repro.core.radius import robustness_radius
 
 
-def legacy_everything(tasks, config, features, feature, parameter):
-    solved = solve_radius_tasks(tasks, 2)
-    solved += pool.radius_task(tasks[0])
+def legacy_everything(features, feature, parameter):
     one = robustness_radius(feature, parameter, solver_options={"n_starts": 2})
     many = robustness_metric(features, parameter, config={"n_starts": 2})
-    return solved, one, many
+    return one, many

@@ -5,12 +5,11 @@ from repro.core.metric import robustness_metric
 from repro.engine.fault import solve_radius_tasks_isolated
 
 
-def modern_everything(tasks, features, parameter, results):
+def modern_everything(tasks, features, parameter):
     config = SolverConfig(n_starts=2, pool_size=2)
     solved, failures = solve_radius_tasks_isolated(
-        tasks, config, on_error="record", backend="thread"
+        tasks, config, on_error="record", backend="process"
     )
     metric = robustness_metric(features, parameter, config=config)
-    # unrelated name sharing a tail with the legacy entry point is fine
-    radius_task = results.radius_task
-    return solved, failures, metric, radius_task
+    none_is_fine = robustness_metric(features, parameter, solver_options=None)
+    return solved, failures, metric, none_is_fine

@@ -26,7 +26,7 @@ EXPECTED_BAD = {
     "R006": 4,
     "R007": 3,
     "R008": 2,
-    "R009": 5,
+    "R009": 2,
     "R101": 3,
     "R102": 3,
     "R103": 5,

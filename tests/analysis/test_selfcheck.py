@@ -17,11 +17,11 @@ from repro.analysis import lint_paths, render_text
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: the deliberate, documented suppressions currently in the tree (pickle
-#: probes, dead-process teardown, exact-literal exponent dispatch, the
-#: legacy-entry-point re-export and its shim pass-through); update this
-#: count when adding or removing a justified noqa
-EXPECTED_SUPPRESSIONS = 8
+#: the deliberate, documented suppressions currently in the tree (the
+#: pickle probe, dead-process teardown, exact-literal exponent dispatch and
+#: the solver_options shim pass-through); update this count when adding or
+#: removing a justified noqa
+EXPECTED_SUPPRESSIONS = 5
 
 
 def _lint(path: Path):
@@ -55,7 +55,7 @@ class TestShippedTreeIsClean:
 
     def test_concur_rules_clean_with_zero_suppressions(self):
         """The concurrency family (R110-R114) holds over src *and* tests
-        with no noqa escape hatches at all — the engine's own asyncio /
+        with no noqa escape hatches at all — the service's own asyncio /
         thread / contextvar plumbing is the primary audience of these
         rules, and it must satisfy them outright."""
         concur = ["R110", "R111", "R112", "R113", "R114"]

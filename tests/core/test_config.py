@@ -34,7 +34,6 @@ class TestSolverConfig:
             {"maxiter": -1},
             {"ftol": 0.0},
             {"pool_size": -2},
-            {"chunk_size": 0},
             {"cache_size": -1},
         ],
     )
@@ -114,19 +113,13 @@ class TestShimThroughAnalysis:
 
 
 class TestFaultToleranceKnobs:
-    """task_timeout / max_retries / backoff_base validation."""
+    """task_timeout validation (retry settings live on RetryPolicy)."""
 
     def test_defaults(self):
-        cfg = SolverConfig()
-        assert cfg.task_timeout is None
-        assert cfg.max_retries == 2
-        assert cfg.backoff_base == 0.05
+        assert SolverConfig().task_timeout is None
 
     def test_valid_values_accepted(self):
-        cfg = SolverConfig(task_timeout=2.5, max_retries=0, backoff_base=0.0)
-        assert cfg.task_timeout == 2.5
-        assert cfg.max_retries == 0
-        assert cfg.backoff_base == 0.0
+        assert SolverConfig(task_timeout=2.5).task_timeout == 2.5
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -134,10 +127,6 @@ class TestFaultToleranceKnobs:
             {"task_timeout": 0.0},
             {"task_timeout": -1.0},
             {"task_timeout": float("nan")},
-            {"max_retries": -1},
-            {"backoff_base": -0.1},
-            {"backoff_base": float("nan")},
-            {"backoff_base": float("inf")},
         ],
         ids=lambda k: "-".join(f"{a}={v}" for a, v in k.items()),
     )
@@ -146,10 +135,10 @@ class TestFaultToleranceKnobs:
             SolverConfig(**kwargs)
 
     def test_knobs_do_not_affect_numeric_kwargs(self):
-        # Retry knobs steer the pool supervisor, not the solver itself, so
-        # they must not leak into (and invalidate) radius cache keys.
+        # The deadline steers the pool supervisor, not the solver itself, so
+        # it must not leak into (and invalidate) radius cache keys.
         assert (
-            SolverConfig(task_timeout=1.0, max_retries=5).numeric_kwargs()
+            SolverConfig(task_timeout=1.0).numeric_kwargs()
             == SolverConfig().numeric_kwargs()
         )
 

@@ -1,7 +1,7 @@
-"""Execution-backend protocol: capabilities, resolution, codec, parity.
+"""Execution-backend protocol: capabilities, resolution, parity.
 
-The acceptance matrix of the backend redesign: the same seeded population
-must come back bit-for-bit identical from all five backends — results,
+The acceptance matrix of the backend layer: the same seeded population
+must come back bit-for-bit identical from both backends — results,
 failure records under injected faults (modulo wall time) and per-task
 observability accounting — and the batched (chunked) path must agree with
 the per-task supervisor.
@@ -19,17 +19,15 @@ from repro.core.config import SolverConfig
 from repro.core.features import FeatureBounds, PerformanceFeature
 from repro.core.impact import CallableImpact
 from repro.core.perturbation import PerturbationParameter
-from repro.engine import solve_radius_tasks_isolated
+from repro.engine import RetryPolicy, solve_radius_tasks_isolated
 from repro.engine.backends import (
     BACKEND_ENV_VAR,
     BACKEND_NAMES,
     BackendSpec,
+    ProcessPoolBackend,
     SerialBackend,
-    ThreadBackend,
     get_backend_class,
-    pack_payload,
     resolve_backend,
-    unpack_payload,
 )
 from repro.exceptions import ValidationError
 from repro.faults import wrap_feature
@@ -92,36 +90,17 @@ def _records_no_wall(records):
 
 class TestCapabilities:
     def test_registry_names(self):
-        assert BACKEND_NAMES == ("serial", "thread", "process", "shm", "asyncio")
+        assert BACKEND_NAMES == ("serial", "process")
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValidationError, match="serial"):
             get_backend_class("quantum")
 
-    @pytest.mark.parametrize(
-        "name, parallel, isolated, zero_copy, batched",
-        [
-            ("serial", False, False, False, False),
-            ("thread", True, False, True, False),
-            ("process", True, True, False, False),
-            ("shm", True, True, True, True),
-            ("asyncio", True, False, True, False),
-        ],
-    )
-    def test_capability_matrix(self, name, parallel, isolated, zero_copy, batched):
+    @pytest.mark.parametrize("name, isolated", [("serial", False), ("process", True)])
+    def test_capability_matrix(self, name, isolated):
         caps = get_backend_class(name).capabilities
         assert caps.name == name
-        assert caps.parallel is parallel
         assert caps.isolated is isolated
-        assert caps.zero_copy is zero_copy
-        assert caps.batched is batched
-
-    def test_deadlines_require_isolation(self):
-        # a deadline is only enforceable when the worker can be killed
-        for name in BACKEND_NAMES:
-            caps = get_backend_class(name).capabilities
-            if caps.enforces_deadlines:
-                assert caps.isolated
 
 
 class TestResolve:
@@ -133,8 +112,8 @@ class TestResolve:
         assert spec.workers == 3
 
     def test_name_and_class_and_spec(self):
-        assert resolve_backend("thread", 2).name == "thread"
-        assert resolve_backend(ThreadBackend, 2).name == "thread"
+        assert resolve_backend("process", 2).name == "process"
+        assert resolve_backend(ProcessPoolBackend, 2).name == "process"
         spec = BackendSpec("serial", 1, SerialBackend)
         assert resolve_backend(spec, 4) is spec
 
@@ -144,8 +123,8 @@ class TestResolve:
         assert spec.create() is inst
 
     def test_env_var_overrides_heuristic(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "thread")
-        assert resolve_backend(None, 0).name == "thread"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
+        assert resolve_backend(None, 0).name == "process"
         # an explicit backend still beats the environment
         assert resolve_backend("serial", 0).name == "serial"
 
@@ -173,7 +152,7 @@ class TestExecute:
         finally:
             backend.shutdown()
 
-    @pytest.mark.parametrize("name", ["serial", "thread", "asyncio"])
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_exceptions_surface_via_future(self, name):
         backend = get_backend_class(name)(max_workers=1)
         try:
@@ -184,74 +163,42 @@ class TestExecute:
             backend.shutdown()
 
 
-class TestShmCodec:
-    def test_large_arrays_are_hoisted_and_views_read_only(self):
-        big = np.arange(64, dtype=float)  # 512 bytes -> hoisted
-        small = np.arange(4, dtype=float)  # 32 bytes -> stays inline
-        payload = {"big": big, "small": small, "tag": "x"}
-        data, segment, descriptors = pack_payload(payload)
-        assert segment is not None
-        assert len(descriptors) == 1
-        try:
-            out = unpack_payload(data, segment, descriptors)
-            np.testing.assert_array_equal(out["big"], big)
-            np.testing.assert_array_equal(out["small"], small)
-            assert out["tag"] == "x"
-            assert not out["big"].flags.writeable
-            del out
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_no_arrays_means_no_segment(self):
-        data, segment, descriptors = pack_payload({"n": 3, "s": "y"})
-        assert segment is None
-        assert descriptors == ()
-        assert unpack_payload(data, None, descriptors) == {"n": 3, "s": "y"}
-
-    def test_non_contiguous_arrays_stay_inline(self):
-        strided = np.arange(128, dtype=float)[::2]
-        data, segment, descriptors = pack_payload({"a": strided})
-        assert segment is None
-        np.testing.assert_array_equal(
-            unpack_payload(data, None, descriptors)["a"], strided
-        )
-
-
 class TestParityMatrix:
-    """Same seeded population, bit-for-bit across all five backends."""
+    """Same seeded population, bit-for-bit across both backends."""
 
-    CONFIG = SolverConfig(
-        pool_size=2, n_starts=2, max_retries=1, backoff_base=0.0, seed=11
-    )
+    CONFIG = SolverConfig(pool_size=2, n_starts=2, seed=11)
+    POLICY = RetryPolicy(max_attempts=2, backoff_base=0.0)
 
     def _run(self, name, faulty=(), on_error="record", config=None):
         cfg = config or self.CONFIG
         return solve_radius_tasks_isolated(
-            _tasks(6, cfg, faulty=faulty), cfg, on_error=on_error, backend=name
+            _tasks(6, cfg, faulty=faulty),
+            cfg,
+            policy=self.POLICY,
+            on_error=on_error,
+            backend=name,
         )
 
     def test_clean_population_identical(self):
         reference, ref_failures = self._run("serial")
         assert ref_failures == []
-        for name in ("thread", "process", "shm", "asyncio"):
-            results, failures = self._run(name)
-            assert _result_dicts(results) == _result_dicts(reference), name
-            assert failures == [], name
+        results, failures = self._run("process")
+        assert _result_dicts(results) == _result_dicts(reference)
+        assert failures == []
 
     def test_failure_records_identical_under_faults(self):
         faulty = (1, 4)
         reference, ref_failures = self._run("serial", faulty=faulty)
         assert {r.task_index for r in ref_failures} == set(faulty)
-        for name in ("thread", "process", "shm", "asyncio"):
-            results, failures = self._run(name, faulty=faulty)
-            assert _result_dicts(results) == _result_dicts(reference), name
-            assert _records_no_wall(failures) == _records_no_wall(ref_failures), name
+        results, failures = self._run("process", faulty=faulty)
+        assert _result_dicts(results) == _result_dicts(reference)
+        assert _records_no_wall(failures) == _records_no_wall(ref_failures)
 
     def test_degrade_mode_identical(self):
         # maxiter=1 makes the wavy landscape non-convergent, so every task
         # falls back to the (seeded, hence reproducible) Monte-Carlo bound
-        cfg = SolverConfig(pool_size=2, maxiter=1, max_retries=0, backoff_base=0.0, seed=11)
+        cfg = SolverConfig(pool_size=2, maxiter=1, seed=11)
+        policy = RetryPolicy(max_attempts=1, backoff_base=0.0)
         tasks = [
             (
                 PerformanceFeature(
@@ -266,110 +213,84 @@ class TestParityMatrix:
             for i in range(4)
         ]
         reference, ref_failures = solve_radius_tasks_isolated(
-            tasks, cfg, on_error="degrade", backend="serial"
+            tasks, cfg, policy=policy, on_error="degrade", backend="serial"
         )
         assert all(rec.fallback_used for rec in ref_failures)
         assert all(res.solver == "montecarlo" for res in reference)
-        for name in ("thread", "process", "shm", "asyncio"):
-            results, failures = solve_radius_tasks_isolated(
-                tasks, cfg, on_error="degrade", backend=name
-            )
-            assert _result_dicts(results) == _result_dicts(reference), name
-            assert _records_no_wall(failures) == _records_no_wall(ref_failures), name
+        results, failures = solve_radius_tasks_isolated(
+            tasks, cfg, policy=policy, on_error="degrade", backend="process"
+        )
+        assert _result_dicts(results) == _result_dicts(reference)
+        assert _records_no_wall(failures) == _records_no_wall(ref_failures)
 
     def test_batched_agrees_with_per_task_supervisor(self):
-        # a task deadline disables the chunked path, forcing shm through the
-        # per-task supervisor; results must not depend on the path taken
-        batched, batched_failures = self._run("shm", faulty=(0,))
+        # a task deadline disables the chunked path, forcing the process
+        # backend through the per-task supervisor; results must not depend
+        # on the path taken
+        batched, batched_failures = self._run("process", faulty=(0,))
         per_task_cfg = self.CONFIG.replace(task_timeout=60.0)
         per_task, per_task_failures = self._run(
-            "shm", faulty=(0,), config=per_task_cfg
+            "process", faulty=(0,), config=per_task_cfg
         )
         assert _result_dicts(batched) == _result_dicts(per_task)
         assert _records_no_wall(batched_failures) == _records_no_wall(
             per_task_failures
         )
 
-    def test_chunk_size_does_not_change_results(self):
-        reference, _ = self._run("shm")
-        for chunk_size in (1, 2, 5):
-            cfg = self.CONFIG.replace(chunk_size=chunk_size)
-            results, failures = self._run("shm", config=cfg)
-            assert _result_dicts(results) == _result_dicts(reference), chunk_size
-            assert failures == []
-
-    def test_chunked_streaming_config_inert_on_asyncio(self):
-        # asyncio is not a batched substrate: chunk_size must be a no-op,
-        # and results must still match the serial reference stream-for-stream
-        reference, _ = self._run("serial")
-        for chunk_size in (1, 3):
-            cfg = self.CONFIG.replace(chunk_size=chunk_size)
-            results, failures = self._run("asyncio", config=cfg)
-            assert _result_dicts(results) == _result_dicts(reference), chunk_size
-            assert failures == []
-
-    def test_asyncio_matches_under_faults_and_chunking(self):
-        faulty = (2,)
-        reference, ref_failures = self._run("serial", faulty=faulty)
-        cfg = self.CONFIG.replace(chunk_size=2)
-        results, failures = self._run("asyncio", faulty=faulty, config=cfg)
-        assert _result_dicts(results) == _result_dicts(reference)
-        assert _records_no_wall(failures) == _records_no_wall(ref_failures)
-
 
 @pytest.mark.chaos
 class TestCrashParity:
-    """Worker crashes are contained identically on both process substrates."""
+    """Worker crashes are contained identically on the chunked and the
+    per-task process paths."""
 
-    def test_process_and_shm_agree_under_crashes(self):
-        cfg = SolverConfig(
-            pool_size=2, n_starts=1, max_retries=1, backoff_base=0.0, seed=2
-        )
+    def test_chunked_and_per_task_agree_under_crashes(self):
+        cfg = SolverConfig(pool_size=2, n_starts=1, seed=2)
+        policy = RetryPolicy(max_attempts=2, backoff_base=0.0)
 
-        def run(name):
+        def run(config):
             tasks = []
             for i in range(6):
                 f = _feature(i)
                 if i == 2:
                     f = wrap_feature(f, "crash", worker_only=True)
-                tasks.append((f, PARAM, None, cfg))
+                tasks.append((f, PARAM, None, config))
             return solve_radius_tasks_isolated(
-                tasks, cfg, on_error="record", backend=name
+                tasks, config, policy=policy, on_error="record", backend="process"
             )
 
-        proc_results, proc_failures = run("process")
-        shm_results, shm_failures = run("shm")
+        chunked_results, chunked_failures = run(cfg)
+        # a task deadline forces the per-task supervisor
+        per_task_results, per_task_failures = run(cfg.replace(task_timeout=60.0))
 
         # the crashing task fails the same way (stage, attempts, placement)...
-        assert [r.task_index for r in proc_failures] == [2]
-        assert [r.task_index for r in shm_failures] == [2]
-        for rec in (proc_failures[0], shm_failures[0]):
+        assert [r.task_index for r in chunked_failures] == [2]
+        assert [r.task_index for r in per_task_failures] == [2]
+        for rec in (chunked_failures[0], per_task_failures[0]):
             assert rec.stage == "crash"
             assert "WorkerCrashError" in rec.exception
-        assert proc_failures[0].attempts == shm_failures[0].attempts
+        assert chunked_failures[0].attempts == per_task_failures[0].attempts
 
         # ...and every healthy task is bit-for-bit identical
         healthy = [i for i in range(6) if i != 2]
-        assert [proc_results[i].to_dict() for i in healthy] == [
-            shm_results[i].to_dict() for i in healthy
+        assert [chunked_results[i].to_dict() for i in healthy] == [
+            per_task_results[i].to_dict() for i in healthy
         ]
-        assert not proc_results[2].converged
-        assert not shm_results[2].converged
+        assert not chunked_results[2].converged
+        assert not per_task_results[2].converged
 
 
 class TestObservabilityParity:
     """Per-task accounting is backend-independent."""
 
-    CONFIG = SolverConfig(
-        pool_size=2, n_starts=1, max_retries=1, backoff_base=0.0, seed=5
-    )
+    CONFIG = SolverConfig(pool_size=2, n_starts=1, seed=5)
+    POLICY = RetryPolicy(max_attempts=2, backoff_base=0.0)
 
     def _accounting(self, name):
         obs.reset_metrics()
         tasks = _tasks(4, self.CONFIG, faulty=(3,))
         with obs.observed() as tracer:
             solve_radius_tasks_isolated(
-                tasks, self.CONFIG, on_error="record", backend=name
+                tasks, self.CONFIG, policy=self.POLICY, on_error="record", backend=name
             )
         spans = tracer.spans()
         terminals = [s for s in spans if s.name == "fault.task"]
@@ -399,23 +320,41 @@ class TestObservabilityParity:
     def test_worker_spans_cross_processes_only_when_isolated(self):
         import os
 
-        for name, expect_other_pid in (("thread", False), ("process", True)):
+        for name in BACKEND_NAMES:
             with obs.observed() as tracer:
                 solve_radius_tasks_isolated(
                     _tasks(4, self.CONFIG),
                     self.CONFIG,
+                    policy=self.POLICY,
                     on_error="record",
                     backend=name,
                 )
             worker_pids = {
                 s.pid for s in tracer.spans() if s.name == "pool.worker.solve"
             }
-            assert worker_pids, name
-            if expect_other_pid:
-                assert worker_pids != {os.getpid()}, name
+            if get_backend_class(name).capabilities.isolated:
+                assert worker_pids, name
+                assert os.getpid() not in worker_pids, name
             else:
-                assert worker_pids == {os.getpid()}, name
+                # inline solves record no worker spans at all
+                assert worker_pids == set(), name
             obs.disable()
+
+    def test_process_submits_one_future_per_chunk(self):
+        # 40 tasks over 2 workers: about four chunks per worker, so 8 chunks
+        # of 5 tasks, never one future per task
+        with obs.observed():
+            results, failures = solve_radius_tasks_isolated(
+                _tasks(40, self.CONFIG),
+                self.CONFIG,
+                policy=self.POLICY,
+                on_error="record",
+                backend="process",
+            )
+        submits = obs.get_registry().to_json()["repro_pool_submits_total"]
+        assert submits["children"][0]["value"] == 8
+        assert len(results) == 40
+        assert failures == []
 
 
 class TestEnginePopulationParity:

@@ -13,8 +13,13 @@ from repro.core import (
     PerturbationParameter,
     SolverConfig,
 )
-from repro.engine import RadiusCache, RobustnessEngine, norm_cache_key
-from repro.engine.pool import default_chunksize, solve_radius_tasks
+from repro.engine import (
+    RadiusCache,
+    RobustnessEngine,
+    norm_cache_key,
+    solve_radius_tasks_isolated,
+)
+from repro.engine.fault import _batch_chunks
 from repro.core.norms import L1Norm, L2Norm, WeightedL2Norm
 
 
@@ -140,8 +145,12 @@ class TestRadiusCache:
 
 class TestPool:
     def test_default_chunksize(self):
-        assert default_chunksize(100, 4) == 7
-        assert default_chunksize(1, 8) == 1
+        # about four chunks per worker: 100 tasks over 4 workers -> size 7
+        chunks = _batch_chunks(100, 4)
+        assert chunks[0] == (0, 7)
+        assert chunks[-1] == (98, 100)
+        assert len(chunks) == 15
+        assert _batch_chunks(1, 8) == [(0, 1)]
 
     def test_serial_matches_pooled(self):
         """Pooled solves return exactly what the serial path returns."""
@@ -151,8 +160,8 @@ class TestPool:
         pooled_cfg = SolverConfig(pool_size=2)
         tasks_s = [(f, param, L2Norm(), serial_cfg) for f in feats]
         tasks_p = [(f, param, L2Norm(), pooled_cfg) for f in feats]
-        serial = solve_radius_tasks(tasks_s, serial_cfg)
-        pooled = solve_radius_tasks(tasks_p, pooled_cfg)
+        serial, _ = solve_radius_tasks_isolated(tasks_s, serial_cfg, on_error="raise")
+        pooled, _ = solve_radius_tasks_isolated(tasks_p, pooled_cfg, on_error="raise")
         for a, b in zip(serial, pooled):
             assert a.radius == b.radius
             assert np.array_equal(a.boundary_point, b.boundary_point)
@@ -164,7 +173,9 @@ class TestPool:
             "q", CallableImpact(local, name="q", convex=True), FeatureBounds(-np.inf, 4.0)
         )
         cfg = SolverConfig(pool_size=2)
-        results = solve_radius_tasks([(f, param, L2Norm(), cfg)] * 2, cfg)
+        results, _ = solve_radius_tasks_isolated(
+            [(f, param, L2Norm(), cfg)] * 2, cfg, on_error="raise"
+        )
         assert len(results) == 2
         assert results[0].radius == results[1].radius
 
@@ -173,7 +184,7 @@ class TestPool:
         feats = [quad_feature(f"q{i}", 4.0 + 0.5 * i) for i in range(4)]
         serial = RobustnessEngine().evaluate_metric(feats, param)
         pooled = RobustnessEngine(
-            config=SolverConfig(pool_size=2, chunk_size=1)
+            config=SolverConfig(pool_size=2)
         ).evaluate_metric(feats, param)
         assert pooled.value == serial.value
         for a, b in zip(pooled.radii, serial.radii):

@@ -23,13 +23,24 @@ from repro.engine import (
     RobustnessEngine,
     solve_radius_tasks_isolated,
 )
-from repro.engine.pool import radius_task
+from repro.core.radius import robustness_radius
 from repro.exceptions import ValidationError
 from repro.faults import choose_fault_indices, wrap_feature
 
 CHAOS_POOL_SIZE = int(os.environ.get("REPRO_CHAOS_POOL_SIZE", "2"))
 
 PARAM = PerturbationParameter("pi", np.array([0.5, 0.5]))
+
+
+def _no_backoff(attempts: int) -> RetryPolicy:
+    """``attempts`` tries per task with no sleep between them."""
+    return RetryPolicy(max_attempts=attempts, backoff_base=0.0)
+
+
+def _reference(task: tuple):
+    """The serial solve of one task, as the fault-isolated worker runs it."""
+    feature, parameter, norm, config = task
+    return robustness_radius(feature, parameter, norm=norm, apply_floor=False, config=config)
 
 
 def _quad(pi):
@@ -64,6 +75,7 @@ class TestRetryPolicy:
     def test_defaults_and_validation(self):
         p = RetryPolicy()
         assert p.max_attempts == 3
+        assert p.backoff_base == 0.05
         with pytest.raises(ValidationError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValidationError):
@@ -71,12 +83,24 @@ class TestRetryPolicy:
         with pytest.raises(ValidationError):
             RetryPolicy(max_pool_rebuilds=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_attempts": 0},
+            {"backoff_base": -0.1},
+            {"backoff_base": float("nan")},
+            {"backoff_base": float("inf")},
+        ],
+        ids=lambda k: "-".join(f"{a}={v}" for a, v in k.items()),
+    )
+    def test_invalid_values_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            RetryPolicy(**kwargs)
+
     def test_from_config(self):
-        cfg = SolverConfig(max_retries=4, backoff_base=0.1, seed=9)
-        p = RetryPolicy.from_config(cfg)
-        assert p.max_attempts == 5
-        assert p.backoff_base == 0.1
-        assert p.seed == 9
+        p = RetryPolicy.from_config(SolverConfig(seed=9))
+        assert p == RetryPolicy(seed=9)
+        assert RetryPolicy.from_config(SolverConfig(seed=None)).seed == 0
 
     def test_delay_deterministic_and_growing(self):
         p = RetryPolicy(backoff_base=0.01, backoff_factor=2.0, jitter=0.25, seed=3)
@@ -146,13 +170,15 @@ class TestSerialIsolation:
         assert failures == []
         assert all(r.converged for r in results)
         for task, res in zip(tasks, results):
-            assert res.radius == radius_task(task).radius
+            assert res.radius == _reference(task).radius
 
     def test_nan_injection_recorded(self):
-        cfg = SolverConfig(pool_size=0, max_retries=1, backoff_base=0.0)
+        cfg = SolverConfig(pool_size=0)
         tasks = [(_feature(i), PARAM, None, cfg) for i in range(3)]
         tasks[1] = (wrap_feature(tasks[1][0], "nan"), PARAM, None, cfg)
-        results, failures = solve_radius_tasks_isolated(tasks, cfg, on_error="record")
+        results, failures = solve_radius_tasks_isolated(
+            tasks, cfg, policy=_no_backoff(2), on_error="record"
+        )
         assert len(failures) == 1
         rec = failures[0]
         assert rec.task_index == 1
@@ -164,10 +190,12 @@ class TestSerialIsolation:
         assert results[0].converged and results[2].converged
 
     def test_raise_injection_recorded(self):
-        cfg = SolverConfig(pool_size=0, max_retries=0, backoff_base=0.0)
+        cfg = SolverConfig(pool_size=0)
         tasks = [(_feature(i), PARAM, None, cfg) for i in range(2)]
         tasks[0] = (wrap_feature(tasks[0][0], "raise"), PARAM, None, cfg)
-        results, failures = solve_radius_tasks_isolated(tasks, cfg, on_error="record")
+        results, failures = solve_radius_tasks_isolated(
+            tasks, cfg, policy=_no_backoff(1), on_error="record"
+        )
         assert len(failures) == 1
         assert failures[0].stage == "solve"
         assert "injected fault" in failures[0].exception
@@ -177,22 +205,24 @@ class TestSerialIsolation:
     def test_raise_mode_raises_terminal_exception(self):
         from repro.exceptions import SolverError
 
-        cfg = SolverConfig(pool_size=0, max_retries=0, backoff_base=0.0)
+        cfg = SolverConfig(pool_size=0)
         tasks = [(wrap_feature(_feature(0), "raise"), PARAM, None, cfg)]
         with pytest.raises(SolverError, match="injected fault"):
-            solve_radius_tasks_isolated(tasks, cfg, on_error="raise")
+            solve_radius_tasks_isolated(tasks, cfg, policy=_no_backoff(1), on_error="raise")
 
     def test_raise_mode_returns_nonconverged_without_retry(self):
         # Legacy semantics: non-convergence was never an exception.
-        cfg = SolverConfig(pool_size=0, maxiter=1, max_retries=3, backoff_base=0.0)
+        cfg = SolverConfig(pool_size=0, maxiter=1)
         tasks = [(_wavy_feature(0), PARAM, None, cfg)]
-        results, failures = solve_radius_tasks_isolated(tasks, cfg, on_error="raise")
+        results, failures = solve_radius_tasks_isolated(
+            tasks, cfg, policy=_no_backoff(4), on_error="raise"
+        )
         assert failures == []
         assert not results[0].converged
         assert results[0].failure == "max-iter"
 
     def test_heal_after_attempt_recovers(self):
-        cfg = SolverConfig(pool_size=0, max_retries=2, backoff_base=0.0)
+        cfg = SolverConfig(pool_size=0)
         tasks = [
             (
                 wrap_feature(_feature(0), "raise", heal_after_attempt=1),
@@ -201,14 +231,18 @@ class TestSerialIsolation:
                 cfg,
             )
         ]
-        results, failures = solve_radius_tasks_isolated(tasks, cfg, on_error="record")
+        results, failures = solve_radius_tasks_isolated(
+            tasks, cfg, policy=_no_backoff(3), on_error="record"
+        )
         assert failures == []
         assert results[0].converged
 
     def test_degrade_produces_mc_bound(self):
-        cfg = SolverConfig(pool_size=0, maxiter=1, max_retries=0, backoff_base=0.0)
+        cfg = SolverConfig(pool_size=0, maxiter=1)
         tasks = [(_wavy_feature(i), PARAM, None, cfg) for i in range(3)]
-        results, failures = solve_radius_tasks_isolated(tasks, cfg, on_error="degrade")
+        results, failures = solve_radius_tasks_isolated(
+            tasks, cfg, policy=_no_backoff(1), on_error="degrade"
+        )
         assert len(failures) == 3
         for res, rec in zip(results, failures):
             assert res.solver == "montecarlo"
@@ -221,11 +255,13 @@ class TestSerialIsolation:
     def test_degrade_bound_brackets_the_true_radius(self):
         # Ray search converges from above: the MC bound must not be below
         # the radius a converged solve finds.
-        cfg_bad = SolverConfig(pool_size=0, maxiter=1, max_retries=0, backoff_base=0.0)
+        cfg_bad = SolverConfig(pool_size=0, maxiter=1)
         cfg_good = SolverConfig(pool_size=0)
         task = (_wavy_feature(0), PARAM, None, cfg_bad)
-        results, _ = solve_radius_tasks_isolated([task], cfg_bad, on_error="degrade")
-        exact = radius_task((_wavy_feature(0), PARAM, None, cfg_good))
+        results, _ = solve_radius_tasks_isolated(
+            [task], cfg_bad, policy=_no_backoff(1), on_error="degrade"
+        )
+        exact = _reference((_wavy_feature(0), PARAM, None, cfg_good))
         assert exact.converged
         assert results[0].radius >= exact.radius - 1e-9
 
@@ -241,10 +277,10 @@ class TestEngineIntegration:
         return problems
 
     def test_record_mode_annotates_problem_index(self):
-        engine = RobustnessEngine(
-            config=SolverConfig(pool_size=0, max_retries=0, backoff_base=0.0)
+        engine = RobustnessEngine(config=SolverConfig(pool_size=0))
+        batch = engine.evaluate_population(
+            self._problems(5, {2}), on_error="record", retry_policy=_no_backoff(1)
         )
-        batch = engine.evaluate_population(self._problems(5, {2}), on_error="record")
         assert isinstance(batch, BatchRobustnessResult)
         assert not batch.ok
         assert [rec.problem_index for rec in batch.failures] == [2]
@@ -260,12 +296,10 @@ class TestEngineIntegration:
     def test_raise_mode_is_default_and_raises(self):
         from repro.exceptions import SolverError
 
-        engine = RobustnessEngine(
-            config=SolverConfig(pool_size=0, max_retries=0, backoff_base=0.0)
-        )
+        engine = RobustnessEngine(config=SolverConfig(pool_size=0))
         problems = [([wrap_feature(_feature(0), "raise")], PARAM)]
         with pytest.raises(SolverError):
-            engine.evaluate_population(problems)
+            engine.evaluate_population(problems, retry_policy=_no_backoff(1))
 
     def test_bad_on_error_rejected(self):
         engine = RobustnessEngine()
@@ -275,21 +309,20 @@ class TestEngineIntegration:
             engine.robustness_of([_feature(0)], PARAM, on_error="explode")
 
     def test_failed_results_never_cached(self):
-        engine = RobustnessEngine(
-            config=SolverConfig(pool_size=0, max_retries=0, backoff_base=0.0)
-        )
+        engine = RobustnessEngine(config=SolverConfig(pool_size=0))
         problems = self._problems(1, {0})
-        first = engine.evaluate_population(problems, on_error="record")
-        second = engine.evaluate_population(problems, on_error="record")
+        policy = _no_backoff(1)
+        first = engine.evaluate_population(problems, on_error="record", retry_policy=policy)
+        second = engine.evaluate_population(problems, on_error="record", retry_policy=policy)
         # the failed solve must not be served from cache as a success
         assert len(first.failures) == len(second.failures) == 1
         assert not second[0].converged
 
     def test_batch_serialization_round_trip(self):
-        engine = RobustnessEngine(
-            config=SolverConfig(pool_size=0, max_retries=0, backoff_base=0.0)
+        engine = RobustnessEngine(config=SolverConfig(pool_size=0))
+        batch = engine.evaluate_population(
+            self._problems(3, {1}), on_error="record", retry_policy=_no_backoff(1)
         )
-        batch = engine.evaluate_population(self._problems(3, {1}), on_error="record")
         clone = BatchRobustnessResult.from_dict(batch.to_dict())
         assert len(clone) == 3
         assert clone.on_error == "record"
@@ -297,11 +330,12 @@ class TestEngineIntegration:
         assert clone[0].value == batch[0].value
 
     def test_robustness_of_forwards_on_error(self):
-        engine = RobustnessEngine(
-            config=SolverConfig(pool_size=0, max_retries=0, backoff_base=0.0)
-        )
+        engine = RobustnessEngine(config=SolverConfig(pool_size=0))
         result = engine.robustness_of(
-            [wrap_feature(_feature(0), "nan")], PARAM, on_error="record"
+            [wrap_feature(_feature(0), "nan")],
+            PARAM,
+            on_error="record",
+            retry_policy=_no_backoff(1),
         )
         assert not result.converged
         assert result.radii[0].failure == "nan-from-impact"
@@ -309,8 +343,8 @@ class TestEngineIntegration:
 
 @pytest.mark.chaos
 @pytest.mark.skipif(
-    os.environ.get("REPRO_BACKEND") in ("serial", "thread", "asyncio"),
-    reason="crash/hang containment requires an isolating backend (process or shm)",
+    os.environ.get("REPRO_BACKEND") == "serial",
+    reason="crash/hang containment requires the isolating process backend",
 )
 class TestChaosAcceptance:
     """The headline scenario: a 200-task batch riddled with injected faults
@@ -321,12 +355,7 @@ class TestChaosAcceptance:
     NONCONVERGED_FRACTION = 0.2
 
     def test_200_task_batch_with_injected_faults(self):
-        cfg = SolverConfig(
-            pool_size=CHAOS_POOL_SIZE,
-            max_retries=1,
-            backoff_base=0.0,
-            task_timeout=3.0,
-        )
+        cfg = SolverConfig(pool_size=CHAOS_POOL_SIZE, task_timeout=3.0)
         # escalate=False keeps retried solves identical to attempt 0, so an
         # innocently requeued healthy task still matches the serial result.
         policy = RetryPolicy(max_attempts=2, backoff_base=0.0, escalate=False)
@@ -382,7 +411,7 @@ class TestChaosAcceptance:
 
         # healthy tasks: bit-for-bit equality with the serial solver
         for i in sorted(set(range(self.N)) - injected):
-            ref = radius_task((_feature(i), PARAM, None, cfg))
+            ref = _reference((_feature(i), PARAM, None, cfg))
             assert results[i].radius == ref.radius, i
             assert results[i].converged
             np.testing.assert_array_equal(
@@ -390,10 +419,12 @@ class TestChaosAcceptance:
             )
 
     def test_crash_attribution_is_exact(self):
-        cfg = SolverConfig(pool_size=CHAOS_POOL_SIZE, max_retries=0, backoff_base=0.0)
+        cfg = SolverConfig(pool_size=CHAOS_POOL_SIZE)
         tasks = [(_feature(i), PARAM, None, cfg) for i in range(8)]
         tasks[5] = (wrap_feature(_feature(5), "crash", worker_only=True), PARAM, None, cfg)
-        results, failures = solve_radius_tasks_isolated(tasks, cfg, on_error="record")
+        results, failures = solve_radius_tasks_isolated(
+            tasks, cfg, policy=_no_backoff(1), on_error="record"
+        )
         assert [rec.task_index for rec in failures] == [5]
         assert failures[0].stage == "crash"
         for i in (0, 1, 2, 3, 4, 6, 7):
@@ -402,19 +433,14 @@ class TestChaosAcceptance:
     def test_crash_in_raise_mode_raises_worker_crash_error(self):
         from repro.exceptions import WorkerCrashError
 
-        cfg = SolverConfig(pool_size=CHAOS_POOL_SIZE, max_retries=0, backoff_base=0.0)
+        cfg = SolverConfig(pool_size=CHAOS_POOL_SIZE)
         tasks = [(_feature(i), PARAM, None, cfg) for i in range(4)]
         tasks[2] = (wrap_feature(_feature(2), "crash", worker_only=True), PARAM, None, cfg)
         with pytest.raises(WorkerCrashError):
-            solve_radius_tasks_isolated(tasks, cfg, on_error="raise")
+            solve_radius_tasks_isolated(tasks, cfg, policy=_no_backoff(1), on_error="raise")
 
     def test_timeout_contained_and_attributed(self):
-        cfg = SolverConfig(
-            pool_size=CHAOS_POOL_SIZE,
-            max_retries=1,
-            backoff_base=0.0,
-            task_timeout=1.0,
-        )
+        cfg = SolverConfig(pool_size=CHAOS_POOL_SIZE, task_timeout=1.0)
         tasks = [(_feature(i), PARAM, None, cfg) for i in range(5)]
         tasks[3] = (
             wrap_feature(_feature(3), "hang", hang_seconds=60.0, worker_only=True),
@@ -422,7 +448,9 @@ class TestChaosAcceptance:
             None,
             cfg,
         )
-        results, failures = solve_radius_tasks_isolated(tasks, cfg, on_error="record")
+        results, failures = solve_radius_tasks_isolated(
+            tasks, cfg, policy=_no_backoff(2), on_error="record"
+        )
         assert [rec.task_index for rec in failures] == [3]
         assert failures[0].stage == "timeout"
         assert failures[0].attempts == 2

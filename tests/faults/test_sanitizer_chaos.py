@@ -27,13 +27,14 @@ from repro.core.config import SolverConfig
 from repro.core.features import FeatureBounds, PerformanceFeature
 from repro.core.impact import CallableImpact
 from repro.core.perturbation import PerturbationParameter
-from repro.engine import RobustnessEngine
+from repro.engine import RetryPolicy, RobustnessEngine
 from repro.exceptions import SanitizerError
 from repro.faults import wrap_feature
 
 PARAM = PerturbationParameter("pi", np.array([0.5, 0.5]))
 
-SERIAL = SolverConfig(pool_size=0, max_retries=0, backoff_base=0.0)
+SERIAL = SolverConfig(pool_size=0)
+ONE_TRY = RetryPolicy(max_attempts=1, backoff_base=0.0)
 
 CHAOS_POOL_SIZE = int(os.environ.get("REPRO_CHAOS_POOL_SIZE", "2"))
 
@@ -83,7 +84,9 @@ class TestSilentCorruption:
     def test_unsanitized_engine_returns_nan_silently(self, monkeypatch):
         """The gap the sanitizer closes: without it, corruption flows out."""
         _poison_metric(monkeypatch, "q_1")
-        batch = RobustnessEngine(config=SERIAL).evaluate_population(_problems(3))
+        batch = RobustnessEngine(config=SERIAL).evaluate_population(
+            _problems(3), retry_policy=ONE_TRY
+        )
         assert np.isnan(batch[1].value)
         assert batch.ok  # no failure record: the NaN is invisible
 
@@ -91,14 +94,16 @@ class TestSilentCorruption:
         _poison_metric(monkeypatch, "q_1")
         engine = RobustnessEngine(config=SERIAL, sanitize=True)
         with pytest.raises(SanitizerError) as err:
-            engine.evaluate_population(_problems(3))
+            engine.evaluate_population(_problems(3), retry_policy=ONE_TRY)
         assert err.value.check == "nan-radius"
         assert err.value.context == "problem[1]"
 
     def test_record_mode_appends_sanitize_record(self, monkeypatch):
         _poison_metric(monkeypatch, "q_1")
         engine = RobustnessEngine(config=SERIAL, sanitize=True)
-        batch = engine.evaluate_population(_problems(3), on_error="record")
+        batch = engine.evaluate_population(
+            _problems(3), on_error="record", retry_policy=ONE_TRY
+        )
         sanitize_recs = [f for f in batch.failures if f.stage == "sanitize"]
         assert [f.reason for f in sanitize_recs] == ["nan-radius"]
         assert sanitize_recs[0].feature == "q_1"
@@ -121,17 +126,19 @@ class TestSilentCorruption:
 class TestAdmittedFailures:
     def test_recorded_injection_needs_no_sanitize_record(self):
         engine = RobustnessEngine(config=SERIAL, sanitize=True)
-        batch = engine.evaluate_population(_problems(5, {2}), on_error="record")
+        batch = engine.evaluate_population(
+            _problems(5, {2}), on_error="record", retry_policy=ONE_TRY
+        )
         stages = {f.stage for f in batch.failures}
         assert "sanitize" not in stages  # the solve-stage record covers the NaN
         assert [f.problem_index for f in batch.failures] == [2]
 
     def test_bit_for_bit_parity_with_unsanitized_run(self):
         plain = RobustnessEngine(config=SERIAL).evaluate_population(
-            _problems(5, {2}), on_error="record"
+            _problems(5, {2}), on_error="record", retry_policy=ONE_TRY
         )
         guarded = RobustnessEngine(config=SERIAL, sanitize=True).evaluate_population(
-            _problems(5, {2}), on_error="record"
+            _problems(5, {2}), on_error="record", retry_policy=ONE_TRY
         )
         for i in range(5):
             a, b = plain[i], guarded[i]
@@ -143,9 +150,11 @@ class TestAdmittedFailures:
         assert len(plain.failures) == len(guarded.failures)
 
     def test_healthy_population_identical_object_shape(self):
-        plain = RobustnessEngine(config=SERIAL).evaluate_population(_problems(4))
+        plain = RobustnessEngine(config=SERIAL).evaluate_population(
+            _problems(4), retry_policy=ONE_TRY
+        )
         guarded = RobustnessEngine(config=SERIAL, sanitize=True).evaluate_population(
-            _problems(4)
+            _problems(4), retry_policy=ONE_TRY
         )
         assert [m.value for m in plain] == [m.value for m in guarded]
         assert guarded.ok
@@ -153,8 +162,8 @@ class TestAdmittedFailures:
 
 @pytest.mark.chaos
 @pytest.mark.skipif(
-    os.environ.get("REPRO_BACKEND") in ("serial", "thread", "asyncio"),
-    reason="crash containment requires an isolating backend (process or shm)",
+    os.environ.get("REPRO_BACKEND") == "serial",
+    reason="crash containment requires the isolating process backend",
 )
 class TestCrashPlusSanitize:
     """The previously untested combination: ``sanitize=True`` while a pool
@@ -167,9 +176,7 @@ class TestCrashPlusSanitize:
         self, monkeypatch
     ):
         _poison_metric(monkeypatch, "q_1")
-        cfg = SolverConfig(
-            pool_size=CHAOS_POOL_SIZE, max_retries=0, backoff_base=0.0
-        )
+        cfg = SolverConfig(pool_size=CHAOS_POOL_SIZE)
         problems = []
         for i in range(6):
             feat = _feature(i)
@@ -177,7 +184,9 @@ class TestCrashPlusSanitize:
                 feat = wrap_feature(feat, "crash", worker_only=True)
             problems.append(([feat], PARAM))
         engine = RobustnessEngine(config=cfg, sanitize=True)
-        batch = engine.evaluate_population(problems, on_error="record")
+        batch = engine.evaluate_population(
+            problems, on_error="record", retry_policy=ONE_TRY
+        )
 
         by_stage: dict[str, list] = {}
         for rec in batch.failures:

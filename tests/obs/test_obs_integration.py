@@ -20,7 +20,7 @@ from repro.core.config import SolverConfig
 from repro.core.features import FeatureBounds, PerformanceFeature
 from repro.core.impact import CallableImpact
 from repro.core.perturbation import PerturbationParameter
-from repro.engine import RobustnessEngine
+from repro.engine import RetryPolicy, RobustnessEngine
 from repro.faults import wrap_feature
 
 PARAM = PerturbationParameter("pi", np.array([0.5, 0.5]))
@@ -76,11 +76,7 @@ class TestTerminalAccounting:
     """Every task's terminal state must be visible in the trace."""
 
     def test_faulted_population_accounts_for_every_task(self):
-        engine = RobustnessEngine(
-            config=SolverConfig(
-                pool_size=0, max_retries=1, backoff_base=0.0, cache_size=0
-            )
-        )
+        engine = RobustnessEngine(config=SolverConfig(pool_size=0, cache_size=0))
         problems = [
             ([_feature(0)], PARAM),  # healthy -> success
             ([wrap_feature(_feature(1), "nan")], PARAM),  # -> terminal failure
@@ -93,7 +89,11 @@ class TestTerminalAccounting:
             ),  # fails once, retry heals -> success
         ]
         with obs.observed() as tracer:
-            batch = engine.evaluate_population(problems, on_error="record")
+            batch = engine.evaluate_population(
+                problems,
+                on_error="record",
+                retry_policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
+            )
 
         terminals = {
             s.attrs["task_index"]: s
@@ -126,20 +126,22 @@ class TestTerminalAccounting:
 
     def test_degrade_terminals_marked(self):
         engine = RobustnessEngine(
-            config=SolverConfig(
-                pool_size=0, maxiter=1, max_retries=0, backoff_base=0.0, cache_size=0
-            )
+            config=SolverConfig(pool_size=0, maxiter=1, cache_size=0)
         )
         problems = [([_wavy_feature(i)], PARAM) for i in range(2)]
         with obs.observed() as tracer:
-            batch = engine.evaluate_population(problems, on_error="degrade")
+            batch = engine.evaluate_population(
+                problems,
+                on_error="degrade",
+                retry_policy=RetryPolicy(max_attempts=1, backoff_base=0.0),
+            )
         assert all(rec.fallback_used for rec in batch.failures)
         terminals = [s for s in tracer.spans() if s.name == "fault.task"]
         assert len(terminals) == 2
         assert {s.attrs["terminal"] for s in terminals} == {"degrade"}
 
     def test_pooled_run_ships_worker_spans_back(self):
-        cfg = SolverConfig(pool_size=2, max_retries=0, backoff_base=0.0, cache_size=0)
+        cfg = SolverConfig(pool_size=2, cache_size=0)
         engine = RobustnessEngine(config=cfg)
         problems = [([_feature(i)], PARAM) for i in range(3)]
         with obs.observed() as tracer:
@@ -162,7 +164,7 @@ class TestDisabledIsInert:
     def test_results_bit_for_bit_identical(self):
         def run() -> list[float]:
             engine = RobustnessEngine(
-                config=SolverConfig(pool_size=0, max_retries=0, cache_size=0)
+                config=SolverConfig(pool_size=0, cache_size=0)
             )
             batch = engine.evaluate_population(
                 [([_feature(i)], PARAM) for i in range(3)], on_error="record"
@@ -177,7 +179,7 @@ class TestDisabledIsInert:
 
     def test_disabled_run_records_nothing(self):
         engine = RobustnessEngine(
-            config=SolverConfig(pool_size=0, max_retries=0, cache_size=0)
+            config=SolverConfig(pool_size=0, cache_size=0)
         )
         engine.evaluate_population([([_feature(0)], PARAM)], on_error="record")
         assert obs.get_registry().to_json() == {}
@@ -186,7 +188,7 @@ class TestDisabledIsInert:
 
 class TestMetricsWiring:
     def test_cache_hit_miss_counters(self):
-        engine = RobustnessEngine(config=SolverConfig(pool_size=0, max_retries=0))
+        engine = RobustnessEngine(config=SolverConfig(pool_size=0))
         problems = [([_feature(0)], PARAM)]
         with obs.observed():
             engine.evaluate_population(problems, on_error="record")

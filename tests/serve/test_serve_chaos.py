@@ -64,13 +64,7 @@ def chaos_harness(*, backend: str | None, task_timeout: float | None = None):
     ``escalate=False`` keeps a retried healthy task identical to attempt 0,
     which is what makes bit-for-bit co-batch parity assertable.
     """
-    cfg = SolverConfig(
-        pool_size=CHAOS_POOL_SIZE,
-        max_retries=1,
-        backoff_base=0.0,
-        task_timeout=task_timeout,
-        seed=0,
-    )
+    cfg = SolverConfig(pool_size=CHAOS_POOL_SIZE, task_timeout=task_timeout, seed=0)
     engine = RobustnessEngine(config=cfg, backend=backend)
     return ServerThread(
         ServeConfig(

@@ -60,6 +60,41 @@ class TestHealthz:
         assert doc["backend"]
         assert doc["queue_depth"] == 0
 
+    def test_cli_server_defaults_to_the_serial_backend(self):
+        """``repro serve`` has no backend default of its own: with neither
+        ``--backend`` nor ``REPRO_BACKEND`` it resolves like any engine."""
+        import os
+        import subprocess
+        import sys
+
+        from repro.serve import ServeClient
+
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_BACKEND"}
+        env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        watchdog = threading.Timer(60.0, proc.kill)
+        watchdog.start()
+        try:
+            line = proc.stdout.readline()
+            assert "backend=serial" in line, line
+            match = re.search(r"listening on http://([^:]+):(\d+)", line)
+            assert match, line
+            client = ServeClient(match.group(1), int(match.group(2)))
+            try:
+                assert client.healthz().json["backend"] == "serial"
+            finally:
+                client.close()
+        finally:
+            watchdog.cancel()
+            proc.terminate()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+
 
 class TestEvaluate:
     def test_allocation_result_matches_direct_engine_call(self, client):

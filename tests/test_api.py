@@ -83,8 +83,8 @@ class TestFacadeDelegation:
         problems = [_affine_problem(i) for i in range(4)]
         config = SolverConfig(pool_size=2)
         serial = api.evaluate_population(problems, config=config, backend="serial")
-        threaded = api.evaluate_population(problems, config=config, backend="thread")
-        assert [m.value for m in serial] == [m.value for m in threaded]
+        pooled = api.evaluate_population(problems, config=config, backend="process")
+        assert [m.value for m in serial] == [m.value for m in pooled]
 
     def test_closed_form_paths_accept_backend_and_store(self, alloc_case, tmp_path):
         """The facade keyword set is uniform even where the pass is
@@ -92,7 +92,7 @@ class TestFacadeDelegation:
         etc, assignments = alloc_case
         default = api.evaluate_allocation(assignments, etc, 1.2)
         with_backend = api.evaluate_allocation(
-            assignments, etc, 1.2, backend="thread", store=tmp_path / "radius.json"
+            assignments, etc, 1.2, backend="process", store=tmp_path / "radius.json"
         )
         assert np.array_equal(default.values, with_backend.values)
         curve = api.robustness_curve(assignments, etc, [1.1, 1.2], backend="serial")

@@ -31,8 +31,8 @@ class TestParser:
         assert args.backend is None
 
     def test_backend_choices(self):
-        args = build_parser().parse_args(["fig4", "--backend", "thread"])
-        assert args.backend == "thread"
+        args = build_parser().parse_args(["fig4", "--backend", "process"])
+        assert args.backend == "process"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig3", "--backend", "quantum"])
 
