@@ -43,6 +43,7 @@ __all__ = [
     "boundary_etc_vector",
     "batch_robustness_radii",
     "batch_robustness",
+    "batch_robustness_curve",
     "weighted_robustness_radii",
     "fepia_analysis",
 ]
@@ -202,6 +203,31 @@ def boundary_etc_vector(mapping: Mapping, etc: np.ndarray, tau: float) -> np.nda
     return c_star
 
 
+def _eq6_terms(
+    assignments: np.ndarray, etc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tau-free parts of Eq. 6: finishing times ``F``, ``M_orig`` and the
+    per-machine application counts ``n``, all ``(n_mappings, ...)``."""
+    f = batch_finishing_times(assignments, etc)  # (n_map, n_machines)
+    m_orig = f.max(axis=1, keepdims=True)
+    n_map, n_tasks = np.asarray(assignments).shape
+    counts = np.zeros_like(f)
+    np.add.at(
+        counts,
+        (np.repeat(np.arange(n_map), n_tasks), np.asarray(assignments).ravel()),
+        1.0,
+    )
+    return f, m_orig, counts
+
+
+def _eq6_radii(tau, f: np.ndarray, m_orig: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Eq. 6, ``(tau M_orig - F_j) / sqrt(n_j)``; ``tau`` may carry leading axes."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            counts > 0, (tau * m_orig - f) / np.sqrt(np.maximum(counts, 1)), np.inf
+        )
+
+
 def batch_robustness_radii(assignments: np.ndarray, etc: np.ndarray, tau: float) -> np.ndarray:
     """Vectorized Eq. 6 over an ``(n_mappings, n_tasks)`` assignment matrix.
 
@@ -212,18 +238,20 @@ def batch_robustness_radii(assignments: np.ndarray, etc: np.ndarray, tau: float)
     solver calls with a handful of array operations.
     """
     tau = check_positive(tau, "tau")
-    f = batch_finishing_times(assignments, etc)  # (n_map, n_machines)
-    m_orig = f.max(axis=1, keepdims=True)
-    n_map, n_tasks = np.asarray(assignments).shape
-    counts = np.zeros_like(f)
-    np.add.at(
-        counts,
-        (np.repeat(np.arange(n_map), n_tasks), np.asarray(assignments).ravel()),
-        1.0,
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radii = np.where(counts > 0, (tau * m_orig - f) / np.sqrt(np.maximum(counts, 1)), np.inf)
-    return radii
+    return _eq6_radii(tau, *_eq6_terms(assignments, etc))
+
+
+def batch_robustness_curve(assignments: np.ndarray, etc: np.ndarray, taus) -> np.ndarray:
+    """Eq. 7 for every mapping at every tolerance factor, shape ``(T, n_mappings)``.
+
+    Eq. 6 is affine in ``tau``, so ``F``, ``M_orig`` and the counts are
+    computed once and the ``(T, n_mappings, n_machines)`` radii are one
+    broadcast; row ``t`` is bit-equal to
+    ``batch_robustness(assignments, etc, taus[t])``.
+    """
+    taus = np.array([check_positive(t, "tau") for t in taus], dtype=float)
+    radii = _eq6_radii(taus[:, None, None], *_eq6_terms(assignments, etc))
+    return radii.min(axis=2)
 
 
 def batch_robustness(assignments: np.ndarray, etc: np.ndarray, tau: float) -> np.ndarray:

@@ -298,10 +298,10 @@ def robustness_curve(
 ) -> RobustnessCurve:
     """Sweep the allocation metric over a set of tolerance factors.
 
-    Each row of the returned curve is one
-    :meth:`~repro.engine.RobustnessEngine.evaluate_allocation` pass at that
-    ``tau`` (closed form, so the sweep is pure array work); rows are
-    bit-for-bit identical to independent single-``tau`` calls.
+    Eq. 6 is affine in ``tau``, so the whole curve is one
+    :meth:`~repro.engine.RobustnessEngine.evaluate_allocation_curve`
+    broadcast; rows are bit-for-bit identical to independent single-``tau``
+    :meth:`~repro.engine.RobustnessEngine.evaluate_allocation` calls.
     """
     tau_arr = np.asarray(list(taus), dtype=float)
     if tau_arr.ndim != 1 or tau_arr.size == 0:
@@ -313,8 +313,9 @@ def robustness_curve(
             f"decreasing) so the curve is well-ordered; got {tau_arr.tolist()}"
         )
     engine = _engine(norm, config, backend, store)
-    rows = [engine.evaluate_allocation(mappings, etc, float(t)).values for t in tau_arr]
-    return RobustnessCurve(taus=tau_arr, values=np.vstack(rows))
+    return RobustnessCurve(
+        taus=tau_arr, values=engine.evaluate_allocation_curve(mappings, etc, tau_arr)
+    )
 
 
 def evaluate_resilience(

@@ -25,7 +25,12 @@ from repro.core.impact import AffineImpact
 from repro.core.norms import Norm, get_norm
 from repro.exceptions import ValidationError
 
-__all__ = ["affine_boundary_distance", "affine_radius", "batch_hyperplane_distances"]
+__all__ = [
+    "affine_boundary_distance",
+    "affine_radius",
+    "batch_hyperplane_distances",
+    "signed_distances",
+]
 
 
 def affine_boundary_distance(
@@ -125,7 +130,12 @@ def batch_hyperplane_distances(
     if origin.shape != (coefficients.shape[1],):
         raise ValidationError("origin dimension must match coefficient columns")
     gaps = limits - coefficients @ origin
-    norms = np.linalg.norm(coefficients, axis=1)
+    return signed_distances(gaps, np.linalg.norm(coefficients, axis=1))
+
+
+def signed_distances(gaps: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``gaps / norms`` elementwise, for rows ``beta - c . pi_orig`` with
+    (dual) normal norms; a zero-normal row is constant: ``+inf`` below its
+    limit, ``-inf`` above it, ``0`` on it."""
     degenerate = np.where(gaps > 0, np.inf, np.where(gaps < 0, -np.inf, 0.0))
-    dists = np.where(norms > 0, gaps / np.where(norms > 0, norms, 1.0), degenerate)
-    return dists
+    return np.where(norms > 0, gaps / np.where(norms > 0, norms, 1.0), degenerate)

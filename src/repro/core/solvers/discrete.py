@@ -7,7 +7,8 @@ loads: treat the parameter continuously and take the floor of the final
 metric (the number of possible discrete values is infinite).  Both tools are
 provided here:
 
-- :func:`floor_radius` — the Section 3.2 flooring of a continuous radius.
+- :func:`floor_radii` / :func:`floor_radius` — the Section 3.2 flooring of
+  continuous radii (array / scalar).
 - :func:`bracket_boundary_1d` — the step-4 bracketing for a scalar discrete
   parameter: the two closest integers around the boundary crossing.
 - :func:`lattice_radius` — exact smallest-integer-displacement radius for an
@@ -26,27 +27,36 @@ import numpy as np
 from repro.core.impact import AffineImpact
 from repro.exceptions import SolverError, ValidationError
 
-__all__ = ["floor_radius", "bracket_boundary_1d", "lattice_radius"]
+__all__ = ["floor_radii", "floor_radius", "bracket_boundary_1d", "lattice_radius"]
 
 
-def floor_radius(radius: float) -> float:
-    """Floor a continuous radius for an integer-valued parameter.
+def floor_radii(radii: np.ndarray | float) -> np.ndarray:
+    """Floor continuous radii for an integer-valued parameter, elementwise.
 
     Follows Section 3.2: "because rho should not have fractional values, one
     can take the floor of the right hand side in Equation 11."  Negative radii
     (already-violated bounds) are floored toward zero magnitude (ceil) so the
-    reported violation distance is not exaggerated; infinities pass through.
+    reported violation distance is not exaggerated; infinities and NaN pass
+    through.
     """
-    radius = float(radius)
-    if not np.isfinite(radius):
-        return radius
-    # Snap values within float-roundoff of an integer before flooring, so a
-    # radius that is mathematically integral (common for calibrated systems)
-    # is not knocked down by an epsilon.
-    nearest = round(radius)
-    if abs(radius - nearest) <= 1e-9 * max(1.0, abs(radius)):
-        radius = float(nearest)
-    return float(math.floor(radius)) if radius >= 0 else float(math.ceil(radius))
+    radii = np.asarray(radii, dtype=float)
+    with np.errstate(invalid="ignore"):
+        # Snap values within float-roundoff of an integer (round half to
+        # even) before flooring, so a radius that is mathematically integral
+        # (common for calibrated systems) is not knocked down by an epsilon.
+        nearest = np.round(radii)
+        snapped = np.where(
+            np.abs(radii - nearest) <= 1e-9 * np.maximum(1.0, np.abs(radii)),
+            nearest,
+            radii,
+        )
+        floored = np.where(snapped >= 0, np.floor(snapped), np.ceil(snapped)) + 0.0
+    return np.where(np.isfinite(radii), floored, radii)
+
+
+def floor_radius(radius: float) -> float:
+    """Scalar :func:`floor_radii`: the Section 3.2 floor of one radius."""
+    return float(floor_radii(radius))
 
 
 def bracket_boundary_1d(

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.alloc.mapping import Mapping
+from repro.core.solvers.analytic import signed_distances
 from repro.hiperd.constraints import build_constraints
 from repro.hiperd.model import HiperDSystem
 from repro.hiperd.robustness import robustness
@@ -101,14 +102,7 @@ def monitor(system: HiperDSystem, mapping: Mapping, loads) -> MonitorResult:
     slack = 1.0 - frac.max(axis=1)
     violated = slack < 0
     norms = np.linalg.norm(cs.coefficients, axis=1)
-    gaps = cs.limits[None, :] - values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dists = np.where(
-            norms[None, :] > 0,
-            gaps / np.where(norms[None, :] > 0, norms[None, :], 1.0),
-            np.where(gaps > 0, np.inf, np.where(gaps < 0, -np.inf, 0.0)),
-        )
-    rho = dists.min(axis=1)
+    rho = signed_distances(cs.limits[None, :] - values, norms).min(axis=1)
     first = int(np.argmax(violated)) if violated.any() else -1
     return MonitorResult(
         loads=loads,

@@ -9,9 +9,11 @@ quantities for the whole population at once:
 
 - **allocation** (Eq. 6 closed form) — one ``(P, m)`` radii matrix built
   from two scatter-adds and a handful of elementwise array passes;
-- **HiPer-D** (Eqs. 10-11) — all mappings' constraint rows stacked into a
-  single matrix-vector product, with per-row radii, binding constraints,
-  feasibility *and* the Section-4.3 slack read off the same pass;
+- **HiPer-D** (Eqs. 10-11) — all mappings' constraint rows built as one
+  ``(P, R, n_sensors)`` tensor from the system's compiled structure and
+  reduced by a single matrix-vector product, with per-row radii, binding
+  constraints, boundary loads, feasibility *and* the Section-4.3 slack read
+  off the same pass;
 - **generic FePIA** — affine features through the scalar closed form,
   non-affine features through an LRU solve cache
   (:class:`~repro.engine.cache.RadiusCache`) and an execution backend
@@ -35,7 +37,11 @@ import numpy as np
 
 from repro.alloc.makespan import batch_finishing_times
 from repro.alloc.mapping import Mapping
-from repro.alloc.robustness import AllocationRobustness, batch_robustness_radii
+from repro.alloc.robustness import (
+    AllocationRobustness,
+    batch_robustness_curve,
+    batch_robustness_radii,
+)
 from repro.core.config import SolverConfig, resolve_config
 from repro.core.features import FeatureSet, PerformanceFeature
 from repro.core.impact import AffineImpact
@@ -44,7 +50,7 @@ from repro.core.norms import L2Norm, Norm, get_norm
 from repro.core.perturbation import PerturbationParameter
 from repro.core.radius import RadiusResult
 from repro.core.solvers.analytic import affine_radius
-from repro.core.solvers.discrete import floor_radius
+from repro.core.solvers.discrete import floor_radii
 from repro.engine.backends import BackendSpec, ExecutionBackend
 from repro.engine.cache import RadiusCache
 from repro.engine.fault import (
@@ -55,10 +61,11 @@ from repro.engine.fault import (
 )
 from repro.engine.store import RadiusStore, key_digest, persistable_key
 from repro.exceptions import InfeasibleAtOriginError, ValidationError
-from repro.hiperd.constraints import build_constraints
+from repro.hiperd.constraints import assignment_matrix, build_constraints
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.hiperd.model import HiperDSystem
+from repro.hiperd.robustness import hyperplane_radii
 from repro.utils.serialization import decode_array, decode_float, encode_array, encode_float
 from repro.utils.validation import check_positive
 
@@ -383,11 +390,7 @@ class RobustnessEngine:
         *,
         require_feasible: bool,
     ) -> AllocationBatchResult:
-        if not isinstance(self.norm, L2Norm):
-            raise ValidationError(
-                "batched allocation evaluation supports the l2 norm only; "
-                "use repro.alloc.robustness.robustness(norm=...) per mapping"
-            )
+        self._require_l2()
         assignments = self._as_assignments(mappings)
         tau = check_positive(tau, "tau")
         radii = batch_robustness_radii(assignments, etc, tau)
@@ -410,6 +413,23 @@ class RobustnessEngine:
             tau=float(tau),
         )
 
+    def evaluate_allocation_curve(
+        self,
+        mappings: np.ndarray | Sequence[Mapping] | Sequence[Sequence[int]],
+        etc: np.ndarray,
+        taus: Sequence[float] | np.ndarray,
+    ) -> np.ndarray:
+        """Eq. 7 of every mapping at every ``tau``, shape ``(T, P)``, in one
+        broadcast; row ``t`` is bit-equal to
+        ``evaluate_allocation(mappings, etc, taus[t]).values``."""
+        with obs_trace.maybe_span("engine.evaluate_allocation") as sp:
+            if obs_trace.enabled():
+                _count_eval("allocation")
+            self._require_l2()
+            values = batch_robustness_curve(self._as_assignments(mappings), etc, taus)
+            sp.set_attr("n_mappings", values.shape[1])
+            return values
+
     # -- HiPer-D (Eqs. 10-11) ------------------------------------------------
     def evaluate_hiperd(
         self,
@@ -422,10 +442,12 @@ class RobustnessEngine:
     ) -> HiperdBatchResult:
         """Evaluate Eq. 11 for every mapping with one stacked matrix pass.
 
-        All mappings' constraint matrices are stacked into a single
-        ``(P * R, n_sensors)`` block; radii, binding constraints, origin
-        feasibility and the Section-4.3 percentage slack all come from the
-        same matrix-vector product.
+        The system's compiled constraint structure
+        (``system.compiled``) builds every mapping's constraint matrix as one
+        ``(P, R, n_sensors)`` tensor; radii, binding constraints, boundary
+        loads, origin feasibility and the Section-4.3 percentage slack all
+        come from the same matrix-vector product, through the kernel the
+        scalar :func:`repro.hiperd.robustness.robustness` runs on one row.
         """
         with obs_trace.maybe_span("engine.evaluate_hiperd") as sp:
             if obs_trace.enabled():
@@ -449,83 +471,45 @@ class RobustnessEngine:
         apply_floor: bool,
         require_feasible: bool,
     ) -> HiperdBatchResult:
-        mappings = list(mappings)
-        if not mappings:
-            raise ValidationError("mappings must be non-empty")
+        assignments = assignment_matrix(system, mappings)
         load_orig = np.asarray(load_orig, dtype=float)
         if load_orig.shape != (system.n_sensors,):
             raise ValidationError(
                 f"load_orig must have shape ({system.n_sensors},), got {load_orig.shape}"
             )
-        sets = [build_constraints(system, m) for m in mappings]
-        n_rows = len(sets[0])
-        names, kinds = sets[0].names, sets[0].kinds
-        coeffs = np.vstack([cs.coefficients for cs in sets])  # (P*R, n)
-        limits = np.concatenate([cs.limits for cs in sets])
-        p = len(sets)
-
-        values = (coeffs @ load_orig).reshape(p, n_rows)
-        limits = limits.reshape(p, n_rows)
-        gaps = limits - values
-        feasible = np.all(values <= limits, axis=1)
+        compiled = system.compiled
+        limits = compiled.limits
+        rows = hyperplane_radii(
+            compiled.coefficients(assignments), limits, load_orig, self.norm
+        )
+        feasible = np.all(rows.values <= limits, axis=1)
         if require_feasible and not np.all(feasible):
             i = int(np.argmin(feasible))
-            frac = sets[i].fractional_values_at(load_orig)
+            cs = build_constraints(system, Mapping(assignments[i], system.n_machines))
+            frac = cs.fractional_values_at(load_orig)
             worst = int(np.argmax(frac))
             raise InfeasibleAtOriginError(
-                f"mapping {i}: constraint {names[worst]} violated at lambda_orig "
+                f"mapping {i}: constraint {cs.names[worst]} violated at lambda_orig "
                 f"(fractional value {frac[worst]:.3f})"
             )
-
-        if isinstance(self.norm, L2Norm):
-            row_norms = np.linalg.norm(coeffs, axis=1).reshape(p, n_rows)
-        else:
-            row_norms = np.array([self.norm.dual(row) for row in coeffs]).reshape(
-                p, n_rows
-            )
-        degenerate = np.where(gaps > 0, np.inf, np.where(gaps < 0, -np.inf, 0.0))
-        radii = np.where(
-            row_norms > 0, gaps / np.where(row_norms > 0, row_norms, 1.0), degenerate
-        )
-
-        binding = radii.argmin(axis=1)
-        raw = radii[np.arange(p), binding]
-        floored = (
-            np.array([floor_radius(float(r)) for r in raw]) if apply_floor else raw
-        )
-
-        boundaries = np.empty((p, load_orig.size))
-        for i in range(p):
-            k = int(binding[i])
-            c = sets[i].coefficients[k]
-            cc = float(c @ c)
-            if not isinstance(self.norm, L2Norm) and np.any(c != 0):
-                boundaries[i] = self.norm.closest_point_on_hyperplane(
-                    c, float(sets[i].limits[k]), load_orig
-                )
-            elif cc > 0:
-                boundaries[i] = load_orig + ((sets[i].limits[k] - c @ load_orig) / cc) * c
-            else:
-                boundaries[i] = load_orig
-
         with np.errstate(divide="ignore", invalid="ignore"):
-            slacks = (1.0 - values / limits).min(axis=1)
+            slacks = (1.0 - rows.values / limits).min(axis=1)
 
         if self.sanitize:
             from repro.analysis.sanitize import check_hiperd_batch
 
             # slacks are excluded: inf/NaN slack is legitimate on zero limits
-            check_hiperd_batch(raw, radii)
+            check_hiperd_batch(rows.raw, rows.radii)
         return HiperdBatchResult(
-            values=np.asarray(floored, dtype=float),
-            raw_values=np.asarray(raw, dtype=float),
-            radii=radii,
-            binding_indices=binding.astype(np.int64),
+            values=floor_radii(rows.raw) if apply_floor else rows.raw,
+            raw_values=rows.raw,
+            radii=rows.radii,
+            binding_indices=rows.binding.astype(np.int64),
             slacks=slacks,
-            boundaries=boundaries,
+            boundaries=rows.boundaries,
             feasible_at_origin=feasible,
-            names=names,
-            kinds=kinds,
+            names=compiled.names,
+            kinds=compiled.kinds,
         )
 
     # -- generic FePIA (Eqs. 1-2) --------------------------------------------
@@ -811,6 +795,13 @@ class RobustnessEngine:
         )
 
     # -- helpers --------------------------------------------------------------
+    def _require_l2(self) -> None:
+        if not isinstance(self.norm, L2Norm):
+            raise ValidationError(
+                "batched allocation evaluation supports the l2 norm only; "
+                "use repro.alloc.robustness.robustness(norm=...) per mapping"
+            )
+
     @staticmethod
     def _as_assignments(
         mappings: np.ndarray | Sequence[Mapping] | Sequence[Sequence[int]],

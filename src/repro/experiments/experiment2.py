@@ -20,12 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.alloc.generators import random_assignments
 from repro.engine import RobustnessEngine
-from repro.hiperd.generators import (
-    PAPER_INITIAL_LOAD,
-    generate_system,
-    random_hiperd_mappings,
-)
+from repro.hiperd.generators import PAPER_INITIAL_LOAD, generate_system
 from repro.hiperd.model import HiperDSystem
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import check_positive_int
@@ -83,14 +80,17 @@ def run_experiment_two(
     n_mappings = check_positive_int(n_mappings, "n_mappings")
     rng_sys, rng_maps = spawn_rngs(seed, 2)
     system = generate_system(seed=rng_sys, **system_kwargs)
-    mappings = random_hiperd_mappings(system, n_mappings, seed=rng_maps)
+    # The draw random_hiperd_mappings makes, kept as one matrix.
+    assignments = random_assignments(
+        n_mappings, system.n_apps, system.n_machines, seed=rng_maps
+    )
     load = np.asarray(initial_load, dtype=float)
 
-    batch = RobustnessEngine(backend=backend).evaluate_hiperd(system, mappings, load)
+    batch = RobustnessEngine(backend=backend).evaluate_hiperd(system, assignments, load)
 
     return ExperimentTwoResult(
         system=system,
-        assignments=np.array([m.assignment for m in mappings]),
+        assignments=assignments,
         initial_load=load,
         robustness=batch.values,
         slack=batch.slacks,
@@ -115,6 +115,14 @@ class ABPair:
         return self.robustness_b / self.robustness_a
 
 
+def _first_max(x: np.ndarray) -> int:
+    """The index a ``best = x[0]; best = x[k] if x[k] > best`` sweep keeps:
+    the first maximum (a NaN wins only in first place)."""
+    if np.isnan(x[0]):
+        return 0
+    return int(np.argmax(np.where(np.isnan(x), -np.inf, x)))
+
+
 def find_ab_pair(
     result: ExperimentTwoResult,
     *,
@@ -123,35 +131,49 @@ def find_ab_pair(
 ) -> ABPair:
     """Find the feasible pair with the largest robustness ratio among pairs
     whose slacks differ by at most ``slack_tolerance`` (B is the more robust
-    of the pair, as in the paper's Table 2)."""
+    of the pair, as in the paper's Table 2).
+
+    Candidates are sorted by slack; ``(i, i + d)`` is a pair when
+    ``slack[i + d] - slack[i] <= slack_tolerance``, and the scan stops at the
+    first offset ``d`` with no pair (the differences grow with ``d``).  Ties
+    go to the first pair in ``(i, d)`` order; within a pair, equal
+    robustness makes the lower-slack mapping A.
+    """
     feas = np.flatnonzero(result.feasible & (result.robustness >= min_robustness))
     if feas.size < 2:
         raise ValueError("not enough feasible mappings to form a pair")
     order = feas[np.argsort(result.slack[feas])]
-    best: ABPair | None = None
-    sl = result.slack
-    rho = result.robustness
-    # Sorted sweep: for each mapping, scan forward while slack stays within
-    # tolerance (O(n k) with k the window size).
-    for ii in range(order.size):
-        i = order[ii]
-        jj = ii + 1
-        while jj < order.size and sl[order[jj]] - sl[i] <= slack_tolerance:
-            j = order[jj]
-            lo, hi = (i, j) if rho[i] <= rho[j] else (j, i)
-            pair = ABPair(
-                index_a=int(lo),
-                index_b=int(hi),
-                robustness_a=float(rho[lo]),
-                robustness_b=float(rho[hi]),
-                slack_a=float(sl[lo]),
-                slack_b=float(sl[hi]),
+    sl = result.slack[order]
+    rho = result.robustness[order]
+    n = order.size
+    ratios = []  # column d - 1: ratio of pair (i, i + d), -inf outside the window
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d in range(1, n):
+            inside = sl[d:] - sl[:-d] <= slack_tolerance
+            if not inside.any():
+                break
+            first, second = rho[:-d], rho[d:]
+            col = np.full(n, -np.inf)
+            col[: n - d] = np.where(
+                inside,
+                np.where(first <= second, second / first, first / second),
+                -np.inf,
             )
-            if best is None or pair.ratio > best.ratio:
-                best = pair
-            jj += 1
-    assert best is not None
-    return best
+            ratios.append(col)
+    if not ratios:
+        raise ValueError(f"no two feasible mappings within slack {slack_tolerance}")
+    # Row-major order of the (i, d - 1) matrix is the sweep order.
+    i, col = divmod(_first_max(np.stack(ratios, axis=1).ravel()), len(ratios))
+    a, b = order[i], order[i + col + 1]
+    lo, hi = (a, b) if result.robustness[a] <= result.robustness[b] else (b, a)
+    return ABPair(
+        index_a=int(lo),
+        index_b=int(hi),
+        robustness_a=float(result.robustness[lo]),
+        robustness_b=float(result.robustness[hi]),
+        slack_a=float(result.slack[lo]),
+        slack_b=float(result.slack[hi]),
+    )
 
 
 @dataclass(frozen=True)
@@ -190,25 +212,30 @@ def find_flat_band(
     feas = np.flatnonzero(result.feasible)
     if feas.size == 0:
         raise ValueError("no feasible mappings to form a band")
-    groups: dict[float, list[int]] = {}
-    for k in feas:
-        groups.setdefault(float(result.robustness[k]), []).append(int(k))
-    best: FlatBand | None = None
-    for rho, idxs in groups.items():
-        if len(idxs) < min_size:
-            continue
-        idx = np.asarray(idxs)
-        names = [result.binding_names[k] for k in idxs]
-        dominant = max(set(names), key=names.count)
-        band = FlatBand(
-            indices=idx,
-            robustness=rho,
-            slack_min=float(result.slack[idx].min()),
-            slack_max=float(result.slack[idx].max()),
-            binding_name=dominant,
-        )
-        if best is None or band.slack_range > best.slack_range:
-            best = band
-    if best is None:
+    values = result.robustness[feas]
+    # Groups of equal robustness, numbered by first occurrence.
+    _, first, inverse, sizes = np.unique(
+        values, return_index=True, return_inverse=True, return_counts=True
+    )
+    rank = np.argsort(first)
+    groups = np.argsort(rank)[inverse]  # group of each feasible mapping
+    sizes = sizes[rank]
+    members = np.argsort(groups, kind="stable")  # grouped, ascending within
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    slack = result.slack[feas[members]]
+    ranges = np.maximum.reduceat(slack, starts) - np.minimum.reduceat(slack, starts)
+    ranges = np.where(sizes >= min_size, ranges, -np.inf)
+    g = _first_max(ranges)
+    if sizes[g] < min_size:
         raise ValueError(f"no robustness group of size >= {min_size}")
-    return best
+    idx = feas[members[starts[g] : starts[g] + sizes[g]]]
+    # The dominant binding constraint; a count tie goes to the lowest row.
+    row_of = {name: r for r, name in enumerate(result.system.compiled.names)}
+    rows = np.array([row_of[result.binding_names[k]] for k in idx])
+    return FlatBand(
+        indices=idx,
+        robustness=float(result.robustness[idx[0]]),
+        slack_min=float(result.slack[idx].min()),
+        slack_max=float(result.slack[idx].max()),
+        binding_name=result.system.compiled.names[int(np.argmax(np.bincount(rows)))],
+    )

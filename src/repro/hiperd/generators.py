@@ -212,8 +212,6 @@ def generate_system(
     # median random mapping's worst fraction within the family equals
     # ``target_fraction``.  Sample a small batch of random mappings and
     # measure directly.
-    from repro.hiperd.constraints import build_constraints  # local: avoid cycle
-
     probe = HiperDSystem.from_paths(
         sensors=[Sensor(f"s{z}", float(rates[z])) for z in range(n_sensors)],
         n_apps=n_apps,
@@ -224,18 +222,19 @@ def generate_system(
         latency_limits=raw_latency,
         comm_coeffs=comm_coeffs,
     )
-    n_probe = 40
-    worst_comp = np.empty(n_probe)
-    worst_lat = np.empty(n_probe)
-    for k in range(n_probe):
-        m = Mapping(rng.integers(0, n_machines, size=n_apps), n_machines)
-        cs = build_constraints(probe, m)
-        frac = cs.fractional_values_at(initial_load)
-        kinds = np.asarray(cs.kinds)
-        # Both computation and communication throughput limits scale with
-        # the rates, so calibrate them together.
-        worst_comp[k] = frac[(kinds == "comp") | (kinds == "comm")].max()
-        worst_lat[k] = frac[kinds == "latency"].max()
+    compiled = probe.compiled
+    # One draw per probe mapping: a single (40, n_apps) draw would consume
+    # the stream differently and move every calibrated system.
+    assignments = np.array([rng.integers(0, n_machines, size=n_apps) for _ in range(40)])
+    coefficients = compiled.coefficients(assignments)
+    frac = (coefficients.reshape(-1, n_sensors) @ initial_load).reshape(
+        len(assignments), -1
+    ) / compiled.limits
+    kinds = np.asarray(compiled.kinds)
+    # Both computation and communication throughput limits scale with the
+    # rates, so calibrate them together.
+    worst_comp = frac[:, kinds != "latency"].max(axis=1)
+    worst_lat = frac[:, kinds == "latency"].max(axis=1)
     # Throughput: fraction scales with the rate, so divide rates by the
     # needed limit inflation.
     phi = target_fraction / float(np.median(worst_comp))

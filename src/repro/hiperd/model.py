@@ -28,11 +28,16 @@ Two construction styles are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.exceptions import ModelError, ValidationError
 from repro.utils.validation import as_1d_float_array
+
+if TYPE_CHECKING:
+    from repro.hiperd.constraints import CompiledSystem
 
 __all__ = ["Sensor", "Path", "HiperDSystem", "multitasking_factors"]
 
@@ -195,6 +200,15 @@ class HiperDSystem:
     def rates(self) -> np.ndarray:
         """Sensor output data rates as an array."""
         return np.array([s.rate for s in self.sensors], dtype=float)
+
+    @cached_property
+    def compiled(self) -> CompiledSystem:
+        """The mapping-independent constraint structure
+        (:class:`~repro.hiperd.constraints.CompiledSystem`), built on first
+        use; a system is never mutated after construction."""
+        from repro.hiperd.constraints import CompiledSystem  # local: it imports us
+
+        return CompiledSystem.from_system(self)
 
     def apps_on_paths(self) -> np.ndarray:
         """Sorted indices of applications that belong to at least one path."""

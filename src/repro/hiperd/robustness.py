@@ -19,6 +19,7 @@ experiment pipelines total.  Use ``require_feasible=True`` to raise instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from repro.core.config import SolverConfig, resolve_config
 from repro.core.fepia import FePIAAnalysis
 from repro.core.metric import MetricResult
 from repro.core.norms import L2Norm, Norm, get_norm
-from repro.core.solvers.analytic import batch_hyperplane_distances
+from repro.core.solvers.analytic import signed_distances
 from repro.core.solvers.discrete import floor_radius
 from repro.exceptions import InfeasibleAtOriginError, ValidationError
 from repro.hiperd.constraints import ConstraintSet, build_constraints
@@ -35,7 +36,14 @@ from repro.hiperd.model import HiperDSystem
 from repro.obs import trace as obs_trace
 from repro.utils.serialization import decode_array, decode_float, encode_array, encode_float
 
-__all__ = ["HiperdRobustness", "robustness", "boundary_load", "fepia_analysis"]
+__all__ = [
+    "HiperdRobustness",
+    "HyperplaneRows",
+    "hyperplane_radii",
+    "robustness",
+    "boundary_load",
+    "fepia_analysis",
+]
 
 
 @dataclass(frozen=True)
@@ -164,42 +172,85 @@ def _robustness_impl(
             f"load_orig must have shape ({system.n_sensors},), got {load_orig.shape}"
         )
     cs = build_constraints(system, mapping)
-    feasible = cs.satisfied_at(load_orig)
+    rows = hyperplane_radii(cs.coefficients[None], cs.limits, load_orig, norm)
+    feasible = bool(np.all(rows.values[0] <= cs.limits))
     if require_feasible and not feasible:
-        frac = cs.fractional_values_at(load_orig)
+        frac = rows.values[0] / cs.limits
         worst = int(np.argmax(frac))
         raise InfeasibleAtOriginError(
             f"constraint {cs.names[worst]} violated at lambda_orig "
             f"(fractional value {frac[worst]:.3f})"
         )
-    if isinstance(norm, L2Norm):
-        radii = batch_hyperplane_distances(cs.coefficients, cs.limits, load_orig)
-    else:
-        gaps = cs.limits - cs.coefficients @ load_orig
-        duals = np.array([norm.dual(row) for row in cs.coefficients])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            radii = np.where(duals > 0, gaps / np.maximum(duals, 1e-300), np.inf)
-    k = int(np.argmin(radii))
-    raw = float(radii[k])
-    c = cs.coefficients[k]
-    cc = float(c @ c)
-    if not isinstance(norm, L2Norm) and np.any(c != 0):
-        boundary = norm.closest_point_on_hyperplane(c, float(cs.limits[k]), load_orig)
-    elif cc > 0:
-        boundary = load_orig + ((cs.limits[k] - c @ load_orig) / cc) * c
-    else:  # all constraints unreachable (degenerate system)
-        boundary = load_orig.copy()
+    k = int(rows.binding[0])
+    raw = float(rows.raw[0])
     return HiperdRobustness(
         value=floor_radius(raw) if apply_floor else raw,
         raw_value=raw,
-        radii=radii,
+        radii=rows.radii[0],
         binding_index=k,
         binding_name=cs.names[k],
         binding_kind=cs.kinds[k],
         constraints=cs,
-        boundary=boundary,
+        boundary=rows.boundaries[0],
         feasible_at_origin=feasible,
     )
+
+
+class HyperplaneRows(NamedTuple):
+    """Eq. 10 over a stack of constraint matrices (see :func:`hyperplane_radii`)."""
+
+    #: ``(P, R)`` left-hand sides at the load
+    values: np.ndarray
+    #: ``(P, R)`` signed radius of every row
+    radii: np.ndarray
+    #: ``(P,)`` binding (minimum-radius) row
+    binding: np.ndarray
+    #: ``(P,)`` minimum radius (Eq. 11, unfloored)
+    raw: np.ndarray
+    #: ``(P, n_sensors)`` closest boundary load on the binding hyperplane
+    boundaries: np.ndarray
+
+
+def hyperplane_radii(
+    coefficients: np.ndarray, limits: np.ndarray, load: np.ndarray, norm: Norm
+) -> HyperplaneRows:
+    """Signed radii, binding rows and boundary loads of ``P`` constraint sets.
+
+    ``coefficients`` is ``(P, R, n_sensors)`` and ``limits`` ``(R,)``.  Both
+    the scalar :func:`robustness` (``P = 1``) and the batched engine run this
+    kernel.  Rows with all-zero coefficients are constant: ``+inf`` radius
+    below their limit, ``-inf`` above it.  Non-l2 norms divide by the dual
+    norm of each row and project with
+    :meth:`~repro.core.norms.Norm.closest_point_on_hyperplane` row by row.
+    """
+    p, r, n = coefficients.shape
+    flat = coefficients.reshape(p * r, n)
+    values = (flat @ load).reshape(p, r)
+    gaps = limits - values
+    if isinstance(norm, L2Norm):
+        duals = np.linalg.norm(flat, axis=1).reshape(p, r)
+    else:
+        duals = np.array([norm.dual(row) for row in flat]).reshape(p, r)
+    radii = signed_distances(gaps, duals)
+    binding = radii.argmin(axis=1)
+    mappings = np.arange(p)
+    normals = coefficients[mappings, binding]  # (P, n)
+    bounds = limits[binding]
+    if isinstance(norm, L2Norm):
+        # Stacked (1, n) @ (n, 1) products: the same per-row dot as ``c @ c``.
+        cc = (normals[:, None, :] @ normals[:, :, None])[:, 0, 0]
+        cx = (normals[:, None, :] @ load)[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (bounds - cx) / cc
+        boundaries = np.where((cc > 0)[:, None], load + step[:, None] * normals, load)
+    else:
+        boundaries = np.array(
+            [
+                norm.closest_point_on_hyperplane(c, float(b), load) if np.any(c != 0) else load
+                for c, b in zip(normals, bounds)
+            ]
+        ).reshape(p, n)
+    return HyperplaneRows(values, radii, binding, radii[mappings, binding], boundaries)
 
 
 def boundary_load(system: HiperDSystem, mapping: Mapping, load_orig) -> np.ndarray:

@@ -8,9 +8,9 @@ builds their coefficient vectors for a given mapping:
 - ``T^n_ip(lambda) = d[i, p] . lambda``                    (communication),
 - ``L_k(lambda)    = sum over the chain of the above``      (Eq. 8).
 
-The coefficient matrices returned here are consumed by
-:mod:`repro.hiperd.constraints` (boundary hyperplanes) and
-:mod:`repro.hiperd.slack` (values at ``lambda_orig``).
+The coefficient matrices returned here are one-mapping views of the
+system's compiled constraint structure
+(:class:`~repro.hiperd.constraints.CompiledSystem`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from repro.alloc.mapping import Mapping
 from repro.exceptions import ValidationError
-from repro.hiperd.model import HiperDSystem, multitasking_factors
+from repro.hiperd.constraints import assignment_matrix, build_constraints
+from repro.hiperd.model import HiperDSystem
 
 __all__ = [
     "computation_coefficients",
@@ -30,21 +31,10 @@ __all__ = [
 ]
 
 
-def _check_mapping(system: HiperDSystem, mapping: Mapping) -> None:
-    if mapping.n_tasks != system.n_apps or mapping.n_machines != system.n_machines:
-        raise ValidationError(
-            f"mapping is {mapping.n_tasks} apps x {mapping.n_machines} machines; "
-            f"system has {system.n_apps} x {system.n_machines}"
-        )
-
-
 def computation_coefficients(system: HiperDSystem, mapping: Mapping) -> np.ndarray:
     """``(n_apps, n_sensors)`` matrix: row ``i`` holds the coefficients of
     ``T^c_i(lambda)`` under ``mapping`` (multitasking factor included)."""
-    _check_mapping(system, mapping)
-    mtf = multitasking_factors(mapping.counts())  # per machine
-    b = system.comp_coeffs[np.arange(system.n_apps), mapping.assignment, :]
-    return mtf[mapping.assignment][:, None] * b
+    return system.compiled.computation(assignment_matrix(system, [mapping]))[0]
 
 
 def communication_coefficients(system: HiperDSystem) -> dict[tuple[int, int], np.ndarray]:
@@ -61,22 +51,7 @@ def latency_coefficients(system: HiperDSystem, mapping: Mapping) -> np.ndarray:
     """``(n_paths, n_sensors)`` matrix of the coefficients of ``L_k(lambda)``
     (Eq. 8): the sum of the member applications' computation coefficients
     plus the chain's communication coefficients."""
-    comp = computation_coefficients(system, mapping)
-    out = np.zeros((len(system.paths), system.n_sensors))
-    for k, path in enumerate(system.paths):
-        for a in path.apps:
-            out[k] += comp[a]
-        for edge in path.edges():
-            vec = system.comm_coeffs.get(edge)
-            if vec is not None:
-                out[k] += vec
-        # Final hop into an update path's terminal application, if declared.
-        kind, idx = path.terminal
-        if kind == "app" and path.apps:
-            vec = system.comm_coeffs.get((path.apps[-1], idx))
-            if vec is not None:
-                out[k] += vec
-    return out
+    return build_constraints(system, mapping).coefficients[system.compiled.latency_rows]
 
 
 def computation_times(system: HiperDSystem, mapping: Mapping, load) -> np.ndarray:

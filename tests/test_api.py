@@ -13,6 +13,7 @@ import pytest
 
 from repro import api
 from repro.alloc.generators import random_assignments
+from repro.alloc.mapping import Mapping
 from repro.core.config import SolverConfig
 from repro.core.features import FeatureBounds, PerformanceFeature
 from repro.core.impact import AffineImpact
@@ -161,6 +162,21 @@ class TestRobustnessCurve:
         for i, tau in enumerate(taus):
             single = api.evaluate_allocation(assignments, etc, tau)
             assert np.array_equal(curve.values[i], single.values)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_broadcast_rows_bit_equal_single_tau(self, seed):
+        """The one (T, P, m) broadcast equals T single-tau engine passes,
+        bit for bit, for Mapping sequences as well as assignment matrices."""
+        rng = np.random.default_rng(seed)
+        etc = cvb_etc_matrix(12, 4, seed=seed)
+        assignments = random_assignments(30, 12, 4, seed=seed + 100)
+        taus = np.sort(rng.uniform(1.0, 3.0, size=25))
+        mappings = [Mapping(a, 4) for a in assignments]
+        for given_mappings in (assignments, mappings):
+            curve = api.robustness_curve(given_mappings, etc, taus)
+            for row, tau in zip(curve.values, taus):
+                single = RobustnessEngine().evaluate_allocation(assignments, etc, float(tau))
+                assert row.tobytes() == single.values.tobytes()
 
     def test_values_decrease_as_tau_tightens(self, alloc_case):
         etc, assignments = alloc_case
