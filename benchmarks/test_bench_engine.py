@@ -185,10 +185,9 @@ def test_backend_rows_on_numeric_population(save_report):
     """Time both execution backends on the same 10k numeric-solve population.
 
     Both backends must agree bit-for-bit, and the process backend's chunked
-    dispatch must beat the same backend run one future per task through the
-    supervisor (``on_error="raise"`` disables chunking) — that win is the
-    reason the backend dispatches in chunks, so it is asserted, not just
-    reported.
+    dispatch must beat the same backend run one future per task (a per-task
+    deadline, ``task_timeout``, disables chunking) — that win is the reason
+    the backend dispatches in chunks, so it is asserted, not just reported.
     """
     config = SolverConfig(solver="numeric", n_starts=1, seed=SEED, pool_size=BACKEND_POOL)
     tasks = _numeric_tasks(BACKEND_POP, config)
@@ -209,9 +208,8 @@ def test_backend_rows_on_numeric_population(save_report):
             assert radii == reference, f"{name} diverged from serial radii"
 
     t0 = time.perf_counter()
-    results, _ = solve_radius_tasks_isolated(
-        tasks, config, backend="process", on_error="raise"
-    )
+    per_task_config = config.replace(task_timeout=600.0)
+    results, _ = solve_radius_tasks_isolated(tasks, per_task_config, backend="process")
     per_task = round(time.perf_counter() - t0, 4)
     assert [r.radius for r in results] == reference, "per-task process diverged"
 

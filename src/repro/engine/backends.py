@@ -1,19 +1,22 @@
 """Execution backends for radius solves.
 
-An :class:`ExecutionBackend` exposes ``submit`` / ``map`` / ``shutdown``
-plus a :class:`BackendCapabilities` record; the supervision ladder of
+An :class:`ExecutionBackend` exposes ``submit`` / ``shutdown`` plus a
+:class:`BackendCapabilities` record; the one retry ladder of
 :mod:`repro.engine.fault` (retries, deadlines, crash attribution,
-degradation) is written once against that protocol.
+degradation) submits every unit of work through ``submit``, whichever
+backend runs it.
 
 Two backends ship:
 
 - :class:`SerialBackend` — runs tasks inline in the calling thread.  No
   parallelism, no pickling; the default and the reference substrate the
-  other backend must match bit-for-bit.
+  other backend must match bit-for-bit.  The scheduler sends it one task
+  at a time.
 - :class:`ProcessPoolBackend` — a
   :class:`~concurrent.futures.ProcessPoolExecutor`: isolated workers, so a
   crashing solve is contained and a hung one can be preempted; payloads
-  must pickle.  The scheduler sends it tasks in chunks when it can.
+  must pickle.  The scheduler sends it tasks in chunks unless a per-task
+  deadline (``task_timeout``) needs one task per future.
 
 Backend selection (:func:`resolve_backend`) has a strict precedence: an
 explicit ``backend=`` argument (name, class or instance) wins over the
@@ -26,7 +29,7 @@ while letting a CI matrix re-route the whole suite through one env var.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, ClassVar
@@ -67,9 +70,8 @@ class ExecutionBackend:
     """Protocol base class: where radius tasks actually run.
 
     Subclasses define :attr:`capabilities` (a class attribute) and implement
-    :meth:`submit` and :meth:`shutdown`; :meth:`map` has a generic blocking
-    implementation on top of :meth:`submit`.  All backends are constructed
-    as ``Backend(max_workers=n)`` so the supervisor can rebuild a broken one
+    :meth:`submit` and :meth:`shutdown`.  All backends are constructed as
+    ``Backend(max_workers=n)`` so the scheduler can rebuild a broken one
     from its class alone.
     """
 
@@ -85,15 +87,10 @@ class ExecutionBackend:
         """Schedule ``fn(payload)``; returns a standard future."""
         raise NotImplementedError
 
-    def map(self, fn: Callable[[Any], Any], payloads: Iterable[Any]) -> list[Any]:
-        """Blocking convenience: ``[fn(p) for p in payloads]`` via :meth:`submit`."""
-        futures = [self.submit(fn, p) for p in payloads]
-        return [f.result() for f in futures]
-
     def shutdown(self, *, kill: bool = False) -> None:
         """Release the backend's resources.
 
-        ``kill=True`` is the supervisor's crash/timeout teardown: do not
+        ``kill=True`` is the scheduler's crash/timeout teardown: do not
         wait for in-flight work, cancel what can be cancelled, and terminate
         worker processes where the substrate has any.
         """
@@ -105,7 +102,7 @@ class SerialBackend(ExecutionBackend):
 
     The degenerate backend: ``submit`` executes immediately and returns an
     already-completed future.  Exceptions are captured on the future (never
-    raised out of ``submit``) so the supervisor's result handling is
+    raised out of ``submit``) so the scheduler's result handling is
     identical across backends.
     """
 
@@ -127,7 +124,7 @@ class ProcessPoolBackend(ExecutionBackend):
     """A :class:`~concurrent.futures.ProcessPoolExecutor` substrate.
 
     Workers are separate processes: a crash surfaces as a broken executor
-    (which the supervisor attributes and contains), and a hung worker can
+    (which the scheduler attributes and contains), and a hung worker can
     be terminated.  Payloads and results must pickle.
     """
 
@@ -177,7 +174,7 @@ def get_backend_class(name: str) -> type[ExecutionBackend]:
 class BackendSpec:
     """A recipe the scheduler uses to (re)build its execution backend.
 
-    Crash recovery rebuilds the executor, so the supervisor needs a factory,
+    Crash recovery rebuilds the executor, so the scheduler needs a factory,
     not just an instance.  A spec made from a user-supplied *instance* hands
     that instance out on the first :meth:`create` and constructs fresh ones
     (same class, same worker count) afterwards.

@@ -54,9 +54,9 @@ from repro.core.solvers.discrete import floor_radii
 from repro.engine.backends import BackendSpec, ExecutionBackend
 from repro.engine.cache import RadiusCache
 from repro.engine.fault import (
-    ON_ERROR_MODES,
     FailureRecord,
     RetryPolicy,
+    check_on_error,
     solve_radius_tasks_isolated,
 )
 from repro.engine.store import RadiusStore, key_digest, persistable_key
@@ -656,10 +656,7 @@ class RobustnessEngine:
         on_error: str,
         retry_policy: RetryPolicy | None,
     ) -> BatchRobustnessResult:
-        if on_error not in ON_ERROR_MODES:
-            raise ValidationError(
-                f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
-            )
+        check_on_error(on_error)
         problems = [(self._as_features(fs), param) for fs, param in problems]
 
         # Pass 1: feasibility gate + affine closed forms + cache probes.
@@ -771,10 +768,7 @@ class RobustnessEngine:
         closed-form — no numeric solve can fail — so the mode is validated
         but has no effect there.
         """
-        if on_error not in ON_ERROR_MODES:
-            raise ValidationError(
-                f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
-            )
+        check_on_error(on_error)
         if args and isinstance(args[0], Mapping):
             from repro.alloc.robustness import robustness as alloc_robustness
 

@@ -1,47 +1,60 @@
 """Fault-tolerant scheduling of radius solves over pluggable backends.
 
-The legacy pool fan-out (``executor.map``) was all-or-nothing: one
-``SolverError``, one hung solve or one crashed worker aborted the whole
-batch.  This module replaces it with supervised submission (one future per
-task, or per chunk of tasks on the process backend) that keeps every
-failure contained to its task.  The execution substrate is an
-:class:`~repro.engine.backends.ExecutionBackend` (serial / process,
-selected via ``backend=`` or the ``REPRO_BACKEND`` env var) and the whole
-ladder below is expressed once against that protocol:
+Every radius solve of :func:`solve_radius_tasks_isolated` runs through one
+retry ladder, whichever :class:`~repro.engine.backends.ExecutionBackend`
+(serial / process, selected via ``backend=`` or the ``REPRO_BACKEND`` env
+var) executes it:
 
-- **solver failures** (``SolverError``, retryable non-convergence) are
-  retried under an escalation ladder (:class:`RetryPolicy`): more
-  multi-starts, tighter tolerances, and — in ``on_error="degrade"`` mode —
-  a Monte-Carlo ray-search fallback that brackets the radius when the exact
-  solve never certifies;
-- **hung solves** are bounded by :attr:`~repro.core.config.SolverConfig.
-  task_timeout`; an overrun abandons the worker, rebuilds the pool, and
-  retries the task with a doubled deadline;
-- **crashed workers** surface as a broken executor (``BrokenExecutor``),
-  which poisons every in-flight future.  The supervisor requeues the
-  innocent tasks, rebuilds the backend, and — after repeated breakage —
-  drops to single-in-flight *probe mode* where the guilty task is
-  identified exactly;
-- tasks whose terminal state is still a failure are reported as structured
-  :class:`FailureRecord` entries instead of exceptions (``on_error="record"``
-  / ``"degrade"``), so a 1000-task batch always completes.
+- the **scheduler** (:class:`_Scheduler`, in the calling process) keeps a
+  queue of *units* — runs of ``(task_index, attempt)`` items — and submits
+  them to the backend through one window: a single unit at a time on the
+  serial backend, ``2 * workers`` on the process backend, one in *probe
+  mode*;
+- the **worker** (:func:`solve_unit`, the one worker entry point) runs one
+  attempt of every item of its unit and returns each item's outcome — the
+  :class:`~repro.core.radius.RadiusResult` or the exception the attempt
+  raised — with its wall time;
+- **one decision** (:meth:`_Scheduler._settle`) turns a worker outcome, a
+  crashed worker or an overrun deadline into finish, retry (seeded backoff
+  and an escalated :class:`RetryPolicy` configuration), record, Monte-Carlo
+  fallback or raise, so a failing solve ends the same way on every backend.
+
+On the process backend a unit is a chunk of about ``n / (4 * workers)``
+tasks unless :attr:`~repro.core.config.SolverConfig.task_timeout` is set:
+deadlines apply per attempt, so they need one task per unit.  Faults:
+
+- **solver failures** (any exception but ``ValidationError``, or retryable
+  non-convergence) are retried with more multi-starts and tighter
+  tolerances; in ``on_error="degrade"`` mode an exhausted task falls back
+  to a Monte-Carlo ray-search bound on the radius;
+- **hung solves** overrun their deadline; the worker is abandoned, the
+  pool rebuilt and the task retried with a longer deadline;
+- **crashed workers** break the pool (``BrokenExecutor``) and poison every
+  in-flight unit.  The scheduler splits those units into one-task units,
+  requeues them, rebuilds the pool and — after repeated breakage — drops
+  to single-in-flight probe mode, where the guilty task is identified
+  exactly;
+- tasks whose terminal state is still a failure become structured
+  :class:`FailureRecord` entries instead of exceptions (``on_error=
+  "record"`` / ``"degrade"``), so a 1000-task batch always completes.
 
 Degradation ladder on infrastructure failure: shared pool → fresh pool →
 single-worker probe pools → inline serial execution (only when executors
-cannot be created at all, and never for tasks with crash/hang history —
-running those in the parent process would take the whole run down with
-them).  Transitions are logged at WARNING level.
+cannot be created at all, or for a task that will not pickle, and never for
+tasks with crash/hang history — running those in the parent process would
+take the whole run down with them).  Transitions are logged at WARNING
+level.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import pickle
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
+from contextlib import nullcontext
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass
 from typing import Any
 
@@ -50,12 +63,11 @@ import numpy as np
 from repro.core.config import SolverConfig
 from repro.core.radius import RadiusResult, robustness_radius
 from repro.core.solvers.numeric import RETRYABLE_REASONS
-from repro.engine.backends import BackendSpec, ExecutionBackend, resolve_backend
+from repro.engine.backends import BackendSpec, ExecutionBackend, SerialBackend, resolve_backend
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.exceptions import (
     ReproError,
-    SolverError,
     SolverTimeoutError,
     ValidationError,
     WorkerCrashError,
@@ -66,8 +78,8 @@ __all__ = [
     "RetryPolicy",
     "FailureRecord",
     "solve_radius_tasks_isolated",
-    "fault_radius_task",
-    "chunk_radius_tasks",
+    "solve_unit",
+    "check_on_error",
     "ON_ERROR_MODES",
 ]
 
@@ -75,6 +87,12 @@ logger = logging.getLogger(__name__)
 
 #: valid values of the ``on_error`` argument
 ON_ERROR_MODES = ("raise", "record", "degrade")
+
+
+def check_on_error(on_error: str) -> None:
+    """Validate an ``on_error`` argument against :data:`ON_ERROR_MODES`."""
+    if on_error not in ON_ERROR_MODES:
+        raise ValidationError(f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}")
 
 
 @dataclass(frozen=True)
@@ -180,9 +198,10 @@ class FailureRecord:
     exception: str | None
     #: True when a Monte-Carlo bound replaced the exact solve
     fallback_used: bool = False
-    #: wall-clock seconds from first submission to terminal state, measured
-    #: on the active :func:`repro.utils.clock.get_clock` (deterministic when
-    #: a :class:`~repro.utils.clock.FakeClock` is installed)
+    #: wall-clock seconds of the task's attempts (each timed where it ran; a
+    #: crash or timeout from submission to detection), measured on the
+    #: active :func:`repro.utils.clock.get_clock` (deterministic when a
+    #: :class:`~repro.utils.clock.FakeClock` is installed)
     wall_time: float = 0.0
     #: non-convergence reason from the numeric solver's taxonomy, if any
     reason: str | None = None
@@ -229,65 +248,73 @@ class FailureRecord:
         )
 
 
-def fault_radius_task(payload: tuple) -> "RadiusResult | obs_trace.TracedResult":
-    """Worker entry point of the fault-isolated path.
+def solve_unit(payload: tuple) -> "list[tuple[Any, float]] | obs_trace.TracedResult":
+    """Worker entry point: one attempt of every item of a unit.
 
-    ``payload`` is ``(task, attempt)`` or ``(task, attempt, span_context)``;
-    the attempt number is published to
-    :data:`repro.faults.inject.CURRENT_ATTEMPT` before the solve so
-    injectors with ``heal_after_attempt`` semantics can observe which retry
-    they are running under (injector state is re-pickled fresh
-    on every submission, so per-process call counters alone cannot span
-    attempts).
+    ``payload`` is ``(items, config, policy, span_context)`` with ``items``
+    a list of ``(task_index, attempt, task)``.  Attempt ``k`` solves with
+    ``policy.escalated(config, k)`` and publishes ``k`` to
+    :data:`repro.faults.inject.CURRENT_ATTEMPT` first, so injectors with
+    ``heal_after_attempt`` semantics can observe which retry they run under
+    (injector state is re-pickled fresh on every submission, so per-process
+    call counters alone cannot span attempts).  Returns one ``(outcome,
+    wall_seconds)`` per item, where ``outcome`` is the
+    :class:`~repro.core.radius.RadiusResult` or the exception the attempt
+    raised; every decision about it is the scheduler's.
 
     When the payload carries a picklable
     :class:`~repro.obs.trace.SpanContext` (observability was enabled in the
-    submitting process), the worker records its own solve span parented to
-    it and ships the spans back inside a
-    :class:`~repro.obs.trace.TracedResult`, which the supervisor unwraps
-    and ingests — tracing never changes what the solver computes.
+    submitting process and the unit runs in a pool worker), the unit records
+    one ``pool.worker.solve`` span per item into a fresh worker-local tracer
+    and ships the spans back inside a :class:`~repro.obs.trace.TracedResult`
+    — tracing never changes what the solver computes.  Forked workers
+    inherit the parent's enabled state, so the installed tracer cannot be
+    trusted there; inline units carry no context and the caller's tracer
+    sees everything directly.
     """
-    if len(payload) == 3:
-        task, attempt, span_ctx = payload
-    else:
-        task, attempt = payload
-        span_ctx = None
-    inject = None
-    try:  # pragma: no cover - exercised via pool workers
-        from repro.faults import inject as inject_mod
+    from repro.faults import inject
 
-        inject = inject_mod
-        inject.CURRENT_ATTEMPT = int(attempt)
-    except ImportError:
-        pass
-    try:
-        feature, parameter, norm, config = task
-        if span_ctx is None:
-            # serial in-process call (the caller's tracer sees everything
-            # directly) or an untraced submission
-            return robustness_radius(
-                feature, parameter, norm=norm, apply_floor=False, config=config
-            )
-        # traced pool submission: record into a fresh worker-local tracer and
-        # ship the spans back (forked workers inherit the parent's enabled
-        # state, so the installed tracer cannot be trusted here)
+    items, config, policy, span_ctx = payload
+    tracer: obs_trace.Tracer | None = None
+    if span_ctx is not None:
         tracer = obs_trace.Tracer()
         obs_trace.enable(tracer)
         token = obs_trace.activate(span_ctx)
-        try:
-            with tracer.span(
-                "pool.worker.solve", task_attempt=int(attempt), feature=feature.name
-            ):
-                res = robustness_radius(
-                    feature, parameter, norm=norm, apply_floor=False, config=config
+    clock = get_clock()
+    out: list[tuple[Any, float]] = []
+    try:
+        for index, attempt, task in items:
+            feature, parameter, norm, _ = task
+            cfg = policy.escalated(config, attempt)
+            inject.CURRENT_ATTEMPT = int(attempt)
+            t0 = clock.perf_counter()
+            span = (
+                nullcontext()
+                if tracer is None
+                else tracer.span(
+                    "pool.worker.solve",
+                    task_index=int(index),
+                    task_attempt=int(attempt),
+                    feature=feature.name,
                 )
-        finally:
+            )
+            try:
+                with span:
+                    outcome: Any = robustness_radius(
+                        feature, parameter, norm=norm, apply_floor=False, config=cfg
+                    )
+            except Exception as exc:  # noqa: BLE001 - the outcome goes to the scheduler
+                outcome = exc
+            finally:
+                inject.CURRENT_ATTEMPT = 0
+            out.append((outcome, clock.perf_counter() - t0))
+    finally:
+        if tracer is not None:
             obs_trace.deactivate(token)
             obs_trace.disable()
-        return obs_trace.TracedResult(result=res, spans=tuple(tracer.export()))
-    finally:
-        if inject is not None:
-            inject.CURRENT_ATTEMPT = 0
+    if tracer is None:
+        return out
+    return obs_trace.TracedResult(result=out, spans=tuple(tracer.export()))
 
 
 def _terminal_state(record: FailureRecord | None) -> str:
@@ -304,7 +331,7 @@ def _record_terminal(
     wall: float,
     *,
     path: str,
-    backend: str = "serial",
+    backend: str,
 ) -> None:
     """Emit one task's terminal ``fault.task`` span plus latency/failure
     metrics.  Callers guard on :func:`repro.obs.trace.enabled`."""
@@ -350,16 +377,6 @@ def _record_fault_event(
     obs_metrics.get_registry().counter(counter, help=help_text).inc()
 
 
-def _record_retry(index: int, attempt: int) -> None:
-    _record_fault_event(
-        "fault.retry",
-        "repro_retries_total",
-        "radius solve retry attempts",
-        task_index=int(index),
-        attempt=int(attempt),
-    )
-
-
 def _picklable_one(obj: object) -> bool:
     """Probe a single representative object, not a whole task list."""
     try:
@@ -399,10 +416,10 @@ def _mc_fallback(task: tuple, policy: RetryPolicy) -> RadiusResult | None:
     Ray search converges to the true radius *from above* for star-shaped
     robust regions, so the value is an optimistic bound — it is flagged with
     ``solver="montecarlo"``, ``converged=False`` and ``failure="mc-bound"``
-    and must never be read as an exact radius.  Only called for
-    ``stage="solve"`` failures: the impact is known to evaluate cleanly in
-    this process (crash/hang failures never reach here — evaluating their
-    impact inline would take the parent down).
+    and must never be read as an exact radius.  Only called for tasks with
+    no crash/hang history: the impact is known to evaluate cleanly in this
+    process (evaluating a crashing or hanging impact inline would take the
+    parent down).
     """
     from repro.core.features import FeatureSet
     from repro.core.solvers.montecarlo import estimate_radius_mc
@@ -433,6 +450,13 @@ def _mc_fallback(task: tuple, policy: RetryPolicy) -> RadiusResult | None:
     )
 
 
+def _batch_chunks(n_tasks: int, workers: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` chunk bounds: about four chunks per worker, which
+    amortizes IPC without starving workers."""
+    size = max(1, math.ceil(n_tasks / (workers * 4)))
+    return [(start, min(start + size, n_tasks)) for start in range(0, n_tasks, size)]
+
+
 def solve_radius_tasks_isolated(
     tasks: list[tuple],
     config: SolverConfig,
@@ -447,19 +471,21 @@ def solve_radius_tasks_isolated(
     ----------
     tasks:
         ``(feature, parameter, norm, config)`` tuples; each is solved by
-        :func:`repro.core.radius.robustness_radius` with ``apply_floor=False``.
+        :func:`repro.core.radius.robustness_radius` with ``apply_floor=False``
+        under the batch ``config`` (escalated per attempt).
     config:
-        Pool sizing and the per-task deadline.
+        Solver settings, pool sizing and the per-task deadline.
     policy:
         Retry/escalation policy; derived from ``config`` when None.
     on_error:
-        ``"raise"`` — terminal failures raise (legacy semantics; retryable
-        *exceptions* are still retried first, but non-converged results are
-        returned as-is without retry, exactly like the historical path);
+        ``"raise"`` — terminal failures raise (solver exceptions are
+        still retried first; non-converged results are returned as-is
+        without retry, since non-convergence was never an error);
         ``"record"`` — terminal failures become :class:`FailureRecord`
         entries plus NaN-radius placeholder results; ``"degrade"`` — like
         ``"record"``, but solver-stage failures additionally fall back to a
-        Monte-Carlo bound on the radius.
+        Monte-Carlo bound on the radius.  A ``ValidationError`` raised by a
+        solve (a malformed problem) raises in every mode.
     backend:
         Execution substrate: a registered name (``"serial"`` /
         ``"process"``), an :class:`~repro.engine.backends.
@@ -477,291 +503,29 @@ def solve_radius_tasks_isolated(
         ``converged`` / ``solver``); ``failures`` holds one record per task
         that failed terminally or used a fallback.
     """
-    if on_error not in ON_ERROR_MODES:
-        raise ValidationError(f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}")
+    check_on_error(on_error)
     tasks = list(tasks)
     if not tasks:
         return [], []
     if policy is None:
         policy = RetryPolicy.from_config(config)
     spec = resolve_backend(backend, config.pool_size)
-    caps = spec.capabilities
-    serial = len(tasks) <= 1 or not caps.isolated or not _picklable_one(tasks[0])
-    batched = not serial and on_error != "raise" and config.task_timeout is None
+    # one representative probe: a batch whose first task will not cross the
+    # process boundary runs inline, however many tasks it has
+    isolated = spec.capabilities.isolated and _picklable_one(tasks[0])
     with obs_trace.maybe_span(
         "fault.solve_batch",
         n_tasks=len(tasks),
         on_error=on_error,
-        mode="serial" if serial else "pool",
-        backend=caps.name,
+        mode="pool" if isolated else "serial",
+        backend=spec.name,
     ):
-        if serial:
-            return _solve_serial(tasks, config, policy, on_error, backend_name=caps.name)
-        if batched:
-            return _solve_batched(tasks, config, policy, on_error, spec)
-        return _Supervisor(tasks, config, policy, on_error, spec).run()
+        return _Scheduler(tasks, config, policy, on_error, spec, isolated).run()
 
 
-def _solve_serial(
-    tasks: list[tuple],
-    config: SolverConfig,
-    policy: RetryPolicy,
-    on_error: str,
-    *,
-    backend_name: str = "serial",
-) -> tuple[list[RadiusResult], list[FailureRecord]]:
-    results: list[RadiusResult] = []
-    failures: list[FailureRecord] = []
-    tracing = obs_trace.enabled()
-    clock = get_clock()
-    for i, task in enumerate(tasks):
-        t0 = clock.perf_counter() if tracing else 0.0
-        res, rec = _solve_one_inline(i, task, config, policy, on_error)
-        results.append(res)
-        if rec is not None:
-            failures.append(rec)
-        if tracing:
-            _record_terminal(
-                i, task, rec, clock.perf_counter() - t0, path="serial", backend=backend_name
-            )
-    return results, failures
-
-
-def _solve_one_inline(
-    index: int,
-    task: tuple,
-    config: SolverConfig,
-    policy: RetryPolicy,
-    on_error: str,
-) -> tuple[RadiusResult, FailureRecord | None]:
-    """Retry ladder for one task executed in the current process."""
-    feature, parameter, norm, _ = task
-    start = get_clock().perf_counter()
-    last_exc: ReproError | None = None
-    last_res: RadiusResult | None = None
-    attempts = 0
-    for attempt in range(policy.max_attempts):
-        attempts = attempt + 1
-        if attempt > 0:
-            if obs_trace.enabled():
-                _record_retry(index, attempt)
-            time.sleep(policy.delay(index, attempt - 1))
-        cfg = policy.escalated(config, attempt)
-        try:
-            # Route through the worker entry point so CURRENT_ATTEMPT is
-            # published for attempt-aware injectors in serial mode too.
-            res = fault_radius_task(((feature, parameter, norm, cfg), attempt))
-        except ValidationError:
-            # a malformed problem will not get better on retry
-            raise
-        except ReproError as exc:
-            last_exc = exc
-            continue
-        last_exc = None
-        if res.converged or on_error == "raise" or res.failure not in RETRYABLE_REASONS:
-            # converged, legacy raise-mode (non-convergence was never an
-            # error historically), or a non-retryable reason such as a
-            # genuinely unreachable boundary.
-            return res, None
-        last_res = res
-    wall = get_clock().perf_counter() - start
-    if last_exc is not None:
-        if on_error == "raise":
-            raise last_exc
-        return _terminal_solve_failure(
-            index, task, attempts, wall, policy, on_error, exc=last_exc
-        )
-    return _terminal_solve_failure(
-        index, task, attempts, wall, policy, on_error, res=last_res
-    )
-
-
-def _terminal_solve_failure(
-    index: int,
-    task: tuple,
-    attempts: int,
-    wall: float,
-    policy: RetryPolicy,
-    on_error: str,
-    *,
-    exc: ReproError | None = None,
-    res: RadiusResult | None = None,
-) -> tuple[RadiusResult, FailureRecord]:
-    """Build the (result, record) pair of an exhausted solver-stage task."""
-    reason = res.failure if res is not None else None
-    fallback = None
-    if on_error == "degrade":
-        fallback = _mc_fallback(task, policy)
-    record = FailureRecord(
-        task_index=index,
-        attempts=attempts,
-        stage="solve",
-        exception=repr(exc) if exc is not None else None,
-        fallback_used=fallback is not None,
-        wall_time=wall,
-        reason=reason,
-        feature=task[0].name,
-        parameter=task[1].name,
-    )
-    if fallback is not None:
-        return fallback, record
-    if res is not None:
-        # keep the uncertified result (it may still carry a usable value)
-        return res, record
-    return _failed_result(task, reason or "solver-exception"), record
-
-
-def chunk_radius_tasks(payload: tuple) -> "tuple | obs_trace.TracedResult":
-    """Worker entry point of the batched (chunked) path.
-
-    ``payload`` is ``(tasks, start_index, config, policy, on_error,
-    span_context)``.  Each task runs the *same* inline retry ladder as the
-    per-task path (:func:`_solve_one_inline`, global task indices, so
-    backoff jitter and failure records are bit-for-bit identical except for
-    wall times); the chunk returns ``(results, records, walls)`` aligned
-    with ``tasks``.  Batched submission is only used in ``on_error`` modes
-    that cannot raise, so a chunk either returns completely or dies with
-    its worker (the scheduler then falls back to per-task submission for
-    exact attribution).
-    """
-    tasks, start_index, config, policy, on_error, span_ctx = payload
-    tracer: obs_trace.Tracer | None = None
-    token = None
-    if span_ctx is not None:
-        # same fresh-tracer discipline as fault_radius_task: never trust the
-        # (possibly fork-inherited) installed tracer in a pool worker
-        tracer = obs_trace.Tracer()
-        obs_trace.enable(tracer)
-        token = obs_trace.activate(span_ctx)
-    try:
-        results: list[RadiusResult] = []
-        records: list[FailureRecord | None] = []
-        walls: list[float] = []
-        clock = get_clock()
-        for offset, task in enumerate(tasks):
-            index = int(start_index) + offset
-            t0 = clock.perf_counter()
-            if tracer is not None:
-                with tracer.span(
-                    "pool.worker.solve", task_index=index, feature=task[0].name
-                ):
-                    res, rec = _solve_one_inline(index, task, config, policy, on_error)
-            else:
-                res, rec = _solve_one_inline(index, task, config, policy, on_error)
-            results.append(res)
-            records.append(rec)
-            walls.append(clock.perf_counter() - t0)
-        out = (results, records, walls)
-        if tracer is None:
-            return out
-        return obs_trace.TracedResult(result=out, spans=tuple(tracer.export()))
-    finally:
-        if token is not None:
-            obs_trace.deactivate(token)
-        if tracer is not None:
-            obs_trace.disable()
-
-
-def _batch_chunks(n_tasks: int, workers: int) -> list[tuple[int, int]]:
-    """``(start, stop)`` chunk bounds: about four chunks per worker, which
-    amortizes IPC without starving workers."""
-    size = max(1, math.ceil(n_tasks / (workers * 4)))
-    return [(start, min(start + size, n_tasks)) for start in range(0, n_tasks, size)]
-
-
-def _solve_batched(
-    tasks: list[tuple],
-    config: SolverConfig,
-    policy: RetryPolicy,
-    on_error: str,
-    spec: BackendSpec,
-) -> tuple[list[RadiusResult], list[FailureRecord]]:
-    """Chunked fan-out over an isolated backend.
-
-    Amortizes per-future overhead.  Chunks that die with their worker or
-    fail to round-trip are re-run through the per-task supervisor (fresh
-    backend) so crash containment and attribution still hold.
-    """
-    n = len(tasks)
-    results: list[RadiusResult | None] = [None] * n
-    records: dict[int, FailureRecord] = {}
-    tracing = obs_trace.enabled()
-    span_ctx = obs_trace.current_context() if tracing else None
-    leftovers: list[tuple[int, int]] = []  # chunk bounds needing per-task re-run
-    backend = spec.create()
-    try:
-        futures: dict[Future, tuple[int, int]] = {}
-        for start, stop in _batch_chunks(n, spec.workers):
-            if tracing:
-                _record_fault_event(
-                    "pool.submit",
-                    "repro_pool_submits_total",
-                    "futures submitted to the process pool",
-                    task_index=start,
-                    attempt=0,
-                    chunk=(start, stop),
-                    backend=spec.name,
-                )
-            payload = (tasks[start:stop], start, config, policy, on_error, span_ctx)
-            try:
-                futures[backend.submit(chunk_radius_tasks, payload)] = (start, stop)
-            except (BrokenExecutor, RuntimeError):
-                leftovers.append((start, stop))
-        for fut, (start, stop) in futures.items():
-            try:
-                out = fut.result()
-            except ValidationError:
-                raise
-            except BaseException as exc:  # noqa: BLE001 - chunk re-runs under the supervisor
-                logger.warning(
-                    "chunk [%d:%d) failed on backend %r (%s); re-running "
-                    "per-task under the supervisor",
-                    start,
-                    stop,
-                    spec.name,
-                    exc,
-                )
-                leftovers.append((start, stop))
-                continue
-            if isinstance(out, obs_trace.TracedResult):
-                tracer = obs_trace.get_tracer()
-                if tracer is not None and obs_trace.enabled():
-                    tracer.ingest(out.spans)
-                out = out.result
-            chunk_results, chunk_records, walls = out
-            for offset in range(stop - start):
-                index = start + offset
-                results[index] = chunk_results[offset]
-                rec = chunk_records[offset]
-                if rec is not None:
-                    records[index] = rec
-                if tracing:
-                    _record_terminal(
-                        index,
-                        tasks[index],
-                        rec,
-                        walls[offset],
-                        path="pool",
-                        backend=spec.name,
-                    )
-    finally:
-        backend.shutdown(kill=True)
-    # Re-run broken chunks per-task: exact crash attribution, sub-batch span
-    # indices are remapped onto the original batch via the records.
-    for start, stop in leftovers:
-        sub = tasks[start:stop]
-        sub_results, sub_failures = _Supervisor(sub, config, policy, on_error, spec).run()
-        for offset, res in enumerate(sub_results):
-            results[start + offset] = res
-        for rec in sub_failures:
-            index = start + rec.task_index
-            records[index] = dataclasses.replace(rec, task_index=index)
-    failures = [records[i] for i in sorted(records)]
-    return [res for res in results if res is not None], failures
-
-
-class _Supervisor:
-    """Pooled scheduler: window submission, deadlines, crash attribution."""
+class _Scheduler:
+    """The one retry ladder: units out through a window, outcomes back
+    through :meth:`_settle`, crash attribution and deadlines on the way."""
 
     def __init__(
         self,
@@ -770,55 +534,105 @@ class _Supervisor:
         policy: RetryPolicy,
         on_error: str,
         spec: BackendSpec,
+        isolated: bool,
     ) -> None:
         self.tasks = tasks
         self.config = config
         self.policy = policy
         self.on_error = on_error
         self.spec = spec
+        self.isolated = isolated
+        self.path = "pool" if isolated else "serial"
         n = len(tasks)
         self.results: list[RadiusResult | None] = [None] * n
         self.records: dict[int, FailureRecord] = {}
-        self.started: list[float | None] = [None] * n
-        self.suspect: list[str | None] = [None] * n  # "crash"/"timeout" history
-        self.pending: deque[tuple[int, int]] = deque((i, 0) for i in range(n))
-        self.inflight: dict = {}  # future -> (index, attempt, deadline)
-        self.executor: ExecutionBackend | None = None
+        self.walls = [0.0] * n
+        # "crash"/"timeout" history (never run in the parent), or "pickle"
+        # for a task that must run in the parent
+        self.suspect: list[str | None] = [None] * n
+        bounds = (
+            _batch_chunks(n, spec.workers)
+            if isolated and config.task_timeout is None
+            else [(i, i + 1) for i in range(n)]
+        )
+        self.pending: deque[list[tuple[int, int]]] = deque(
+            [(i, 0) for i in range(start, stop)] for start, stop in bounds
+        )
+        self.inflight: dict = {}  # future -> (unit, submitted, deadline)
+        self.pool: ExecutionBackend | None = None
+        # where units run in this process: the serial backend itself, or
+        # the inline fallback of an isolated batch
+        self.local = SerialBackend() if spec.capabilities.isolated else spec.create()
         self.probe_mode = False
         self.pool_breaks = 0
-        self.serial_only = False
+        self.pool_unavailable = False
 
-    # -- executor lifecycle ---------------------------------------------------
-    def _window(self) -> int:
-        return 1 if self.probe_mode else max(1, 2 * self.spec.workers)
-
-    def _ensure_executor(self) -> bool:
-        if self.executor is not None:
-            return True
-        try:
-            self.executor = self.spec.create(
-                max_workers=1 if self.probe_mode else self.spec.workers
-            )
-            return True
-        except OSError as exc:  # pragma: no cover - resource exhaustion
-            logger.warning(
-                "cannot create a %s backend (%s); degrading to inline serial solves",
-                self.spec.name,
-                exc,
-            )
-            self.serial_only = True
-            return False
-
-    def _kill_executor(self) -> None:
-        if self.executor is None:
+    # -- the one decision -----------------------------------------------------
+    def _settle(
+        self,
+        index: int,
+        attempt: int,
+        outcome: Any,
+        *,
+        stage: str = "solve",
+        wall: float = 0.0,
+        retry: bool = True,
+    ) -> None:
+        """Finish, retry, record, fall back or raise one attempt's outcome —
+        a worker's result or exception, a crash or a timeout alike."""
+        self.walls[index] += wall
+        if isinstance(outcome, RadiusResult):
+            if (
+                outcome.converged
+                or self.on_error == "raise"
+                or outcome.failure not in RETRYABLE_REASONS
+            ):
+                # converged, raise-mode (non-convergence was never an error)
+                # or a non-retryable reason such as an unreachable boundary
+                self._finish(index, outcome, None)
+                return
+        elif isinstance(outcome, ValidationError):
+            raise outcome  # a malformed problem will not get better on retry
+        if retry and attempt + 1 < self.policy.max_attempts:
+            if stage != "solve":
+                logger.warning(
+                    "task %d: %s on attempt %d (%s); retrying", index, stage, attempt + 1, outcome
+                )
+            if obs_trace.enabled():
+                _record_fault_event(
+                    "fault.retry",
+                    "repro_retries_total",
+                    "radius solve retry attempts",
+                    task_index=int(index),
+                    attempt=int(attempt + 1),
+                )
+            time.sleep(self.policy.delay(index, attempt))
+            self.pending.appendleft([(index, attempt + 1)])
             return
-        executor, self.executor = self.executor, None
-        executor.shutdown(kill=True)
-
-    # -- terminal bookkeeping -------------------------------------------------
-    def _wall(self, index: int) -> float:
-        t0 = self.started[index]
-        return 0.0 if t0 is None else get_clock().perf_counter() - t0
+        if isinstance(outcome, BaseException) and self.on_error == "raise":
+            raise outcome
+        task = self.tasks[index]
+        history = self.suspect[index]
+        if stage == "solve" and history == "pickle":
+            stage = "pickle"
+        fallback = None
+        if self.on_error == "degrade" and history in (None, "pickle"):
+            fallback = _mc_fallback(task, self.policy)
+        res = outcome if isinstance(outcome, RadiusResult) else None
+        record = FailureRecord(
+            task_index=index,
+            attempts=attempt + 1,
+            stage=stage,
+            exception=repr(outcome) if res is None else None,
+            fallback_used=fallback is not None,
+            wall_time=self.walls[index],
+            reason=res.failure if res is not None else None,
+            feature=task[0].name,
+            parameter=task[1].name,
+        )
+        # keep an uncertified result: it may still carry a usable value
+        placeholder = stage if stage in ("crash", "timeout") else "solver-exception"
+        self._finish(index, fallback or res or _failed_result(task, placeholder), record)
 
     def _finish(self, index: int, result: RadiusResult, record: FailureRecord | None) -> None:
         self.results[index] = result
@@ -829,34 +643,81 @@ class _Supervisor:
                 index,
                 self.tasks[index],
                 record,
-                self._wall(index),
-                path="pool",
+                self.walls[index],
+                path=self.path,
                 backend=self.spec.name,
             )
 
-    def _terminal_exception(
-        self, index: int, attempts: int, stage: str, exc: ReproError
-    ) -> None:
-        """Crash/timeout/pickle terminal state (never runs the impact again)."""
-        if self.on_error == "raise":
-            self._kill_executor()
-            raise exc
-        record = FailureRecord(
-            task_index=index,
-            attempts=attempts,
-            stage=stage,
-            exception=repr(exc),
-            wall_time=self._wall(index),
-            feature=self.tasks[index][0].name,
-            parameter=self.tasks[index][1].name,
-        )
-        self._finish(index, _failed_result(self.tasks[index], stage), record)
+    # -- submission -----------------------------------------------------------
+    def _window(self) -> int:
+        if not self.isolated or self.probe_mode:
+            return 1
+        return 2 * self.spec.workers
+
+    def _executor_for(self, unit: list[tuple[int, int]]) -> ExecutionBackend:
+        if not self.isolated or self.pool_unavailable or self.suspect[unit[0][0]] == "pickle":
+            return self.local
+        if self.pool is None:
+            try:
+                self.pool = self.spec.create(
+                    max_workers=1 if self.probe_mode else self.spec.workers
+                )
+            except OSError as exc:  # pragma: no cover - resource exhaustion
+                logger.warning(
+                    "cannot create a %s backend (%s); degrading to inline serial solves",
+                    self.spec.name,
+                    exc,
+                )
+                self.pool_unavailable = True
+                return self.local
+        return self.pool
+
+    def _kill_pool(self) -> None:
+        if self.pool is not None:
+            pool, self.pool = self.pool, None
+            pool.shutdown(kill=True)
+
+    def _submit_pending(self) -> None:
+        while self.pending and len(self.inflight) < self._window():
+            unit = self.pending.popleft()
+            executor = self._executor_for(unit)
+            index, attempt = unit[0]
+            if executor is self.local and self.suspect[index] in ("crash", "timeout"):
+                # no pool to run it in, and the parent must never run it
+                exc: ReproError = (
+                    WorkerCrashError(task_index=index, attempts=attempt + 1)
+                    if self.suspect[index] == "crash"
+                    else SolverTimeoutError(task_index=index)
+                )
+                self._settle(index, attempt, exc, stage=self.suspect[index], retry=False)
+                continue
+            remote = executor is not self.local
+            if remote and obs_trace.enabled():
+                _record_fault_event(
+                    "pool.submit",
+                    "repro_pool_submits_total",
+                    "futures submitted to the process pool",
+                    task_index=index,
+                    attempt=attempt,
+                    n_tasks=len(unit),
+                    backend=self.spec.name,
+                )
+            items = [(i, a, self.tasks[i]) for i, a in unit]
+            span_ctx = obs_trace.current_context() if remote else None
+            submitted = get_clock().perf_counter()
+            try:
+                fut = executor.submit(solve_unit, (items, self.config, self.policy, span_ctx))
+            except (BrokenExecutor, RuntimeError):
+                self._on_pool_break(unit, submitted)
+                continue
+            timeout = self.policy.escalated(self.config, attempt).task_timeout if remote else None
+            deadline = time.monotonic() + timeout if timeout else None
+            self.inflight[fut] = (unit, submitted, deadline)
 
     # -- fault handlers -------------------------------------------------------
-    def _on_pool_break(self, popped: tuple[int, int] | None) -> None:
-        """A worker died; every in-flight future is poisoned."""
-        items = [popped] if popped is not None else []
-        items += [(i, a) for (i, a, _) in self.inflight.values()]
+    def _on_pool_break(self, unit: list[tuple[int, int]], submitted: float) -> None:
+        """A worker died; every in-flight unit is poisoned."""
+        items = unit + [item for u, _, _ in self.inflight.values() for item in u]
         if obs_trace.enabled():
             _record_fault_event(
                 "fault.pool_break",
@@ -866,30 +727,21 @@ class _Supervisor:
                 probe_mode=self.probe_mode,
             )
         self.inflight.clear()
-        self._kill_executor()
+        self._kill_pool()
         self.pool_breaks += 1
         if len(items) == 1:
-            # Single in-flight task (probe mode, or the tail of the batch):
-            # the crash is attributed exactly.
+            # a single task in flight (probe mode, or the tail of the batch):
+            # the crash is attributed exactly
             index, attempt = items[0]
             self.suspect[index] = "crash"
-            if attempt + 1 < self.policy.max_attempts:
-                logger.warning(
-                    "worker crashed on task %d (attempt %d); retrying", index, attempt + 1
-                )
-                self.pending.append((index, attempt + 1))
-            else:
-                self._terminal_exception(
-                    index,
-                    attempt + 1,
-                    "crash",
-                    WorkerCrashError(task_index=index, attempts=attempt + 1),
-                )
+            crash = WorkerCrashError(task_index=index, attempts=attempt + 1)
+            wall = get_clock().perf_counter() - submitted
+            self._settle(index, attempt, crash, stage="crash", wall=wall)
             return
-        # Parallel window: attribution is ambiguous — requeue everyone at the
-        # same attempt and rebuild; repeated breakage drops to probe mode.
-        for index, attempt in items:
-            self.pending.appendleft((index, attempt))
+        # Parallel window: attribution is ambiguous — requeue everyone as a
+        # one-task unit at the same attempt and rebuild; repeated breakage
+        # drops to probe mode.
+        self.pending.extendleft([item] for item in reversed(items))
         if not self.probe_mode and self.pool_breaks >= self.policy.max_pool_rebuilds:
             self.probe_mode = True
             logger.warning(
@@ -904,10 +756,18 @@ class _Supervisor:
                 self.policy.max_pool_rebuilds,
             )
 
-    def _on_timeouts(self, overdue: list) -> None:
+    def _on_timeouts(self) -> None:
         """Deadline overruns: abandon the hung workers, requeue the innocents."""
+        now = time.monotonic()
+        overdue = [
+            fut
+            for fut, (_, _, deadline) in self.inflight.items()
+            if deadline is not None and now >= deadline and not fut.done()
+        ]
+        if not overdue:
+            return
         for fut in overdue:
-            index, attempt, _ = self.inflight.pop(fut)
+            [(index, attempt)], submitted, _ = self.inflight.pop(fut)
             self.suspect[index] = "timeout"
             if obs_trace.enabled():
                 _record_fault_event(
@@ -917,197 +777,85 @@ class _Supervisor:
                     task_index=index,
                     attempt=attempt,
                 )
-            cfg = self.policy.escalated(self.config, attempt)
-            if attempt + 1 < self.policy.max_attempts:
-                logger.warning(
-                    "task %d exceeded its %.3gs deadline (attempt %d); retrying "
-                    "with a longer deadline",
-                    index,
-                    cfg.task_timeout or 0.0,
-                    attempt + 1,
-                )
-                self.pending.append((index, attempt + 1))
-            else:
-                self._terminal_exception(
-                    index,
-                    attempt + 1,
-                    "timeout",
-                    SolverTimeoutError(timeout=cfg.task_timeout, task_index=index),
-                )
+            timeout = self.policy.escalated(self.config, attempt).task_timeout
+            self._settle(
+                index,
+                attempt,
+                SolverTimeoutError(timeout=timeout, task_index=index),
+                stage="timeout",
+                wall=get_clock().perf_counter() - submitted,
+            )
         # The pool may be saturated by hung workers — rebuild it; in-flight
         # innocents are requeued at their current attempt.
-        for index, attempt in [(i, a) for (i, a, _) in self.inflight.values()]:
-            self.pending.appendleft((index, attempt))
+        self.pending.extendleft(unit for unit, _, _ in self.inflight.values())
         self.inflight.clear()
-        self._kill_executor()
+        self._kill_pool()
 
-    # -- result handling ------------------------------------------------------
-    def _on_result(self, index: int, attempt: int, res: RadiusResult) -> None:
-        if res.converged or self.on_error == "raise" or res.failure not in RETRYABLE_REASONS:
-            self._finish(index, res, None)
-            return
-        if attempt + 1 < self.policy.max_attempts:
-            self.pending.append((index, attempt + 1))
-            return
-        result, record = _terminal_solve_failure(
-            index,
-            self.tasks[index],
-            attempt + 1,
-            self._wall(index),
-            self.policy,
-            self.on_error,
-            res=res,
-        )
-        self._finish(index, result, record)
-
-    def _on_worker_exception(self, index: int, attempt: int, exc: BaseException) -> None:
-        if _is_pickle_error(exc):
-            # This particular task cannot cross the process boundary; solve
-            # it in-process like the legacy serial fallback did.
-            res, rec = _solve_one_inline(
-                index, self.tasks[index], self.config, self.policy, self.on_error
+    def _on_unit_error(
+        self, unit: list[tuple[int, int]], submitted: float, exc: Exception
+    ) -> None:
+        """The unit's future itself failed (its payload or result would not
+        pickle, or something outside the solve raised)."""
+        if len(unit) > 1:
+            logger.warning(
+                "unit of %d tasks from task %d failed on backend %r (%s); "
+                "re-running one task per unit",
+                len(unit),
+                unit[0][0],
+                self.spec.name,
+                exc,
             )
-            if rec is not None:
-                rec = dataclasses.replace(rec, stage="pickle")
-            self._finish(index, res, rec)
+            self.pending.extendleft([item] for item in reversed(unit))
             return
-        if isinstance(exc, ValidationError):
-            if self.on_error == "raise":
-                self._kill_executor()
-                raise exc
-            record = FailureRecord(
-                task_index=index,
-                attempts=attempt + 1,
-                stage="solve",
-                exception=repr(exc),
-                wall_time=self._wall(index),
-                feature=self.tasks[index][0].name,
-                parameter=self.tasks[index][1].name,
-            )
-            self._finish(index, _failed_result(self.tasks[index], "validation-error"), record)
+        [(index, attempt)] = unit
+        if self.suspect[index] is None and _is_pickle_error(exc):
+            # this task cannot cross the process boundary; solve it in
+            # process, like a batch whose first task will not pickle
+            self.suspect[index] = "pickle"
+            self.pending.appendleft(unit)
             return
-        # solver-stage exception: retry, then terminal
-        if attempt + 1 < self.policy.max_attempts:
-            self.pending.append((index, attempt + 1))
-            return
-        if self.on_error == "raise":
-            self._kill_executor()
-            raise exc if isinstance(exc, ReproError) else SolverError(repr(exc))
-        result, record = _terminal_solve_failure(
-            index,
-            self.tasks[index],
-            attempt + 1,
-            self._wall(index),
-            self.policy,
-            self.on_error,
-            exc=exc,
-        )
-        self._finish(index, result, record)
+        self._settle(index, attempt, exc, wall=get_clock().perf_counter() - submitted)
 
     # -- main loop ------------------------------------------------------------
-    def _submit_pending(self) -> None:
-        while self.pending and len(self.inflight) < self._window():
-            if not self._ensure_executor():
-                return
-            index, attempt = self.pending.popleft()
-            if attempt > 0:
-                if obs_trace.enabled():
-                    _record_retry(index, attempt)
-                time.sleep(self.policy.delay(index, attempt - 1))
-            cfg = self.policy.escalated(self.config, attempt)
-            feature, parameter, norm, _ = self.tasks[index]
-            if self.started[index] is None:
-                self.started[index] = get_clock().perf_counter()
-            span_ctx = obs_trace.current_context()
-            if obs_trace.enabled():
-                _record_fault_event(
-                    "pool.submit",
-                    "repro_pool_submits_total",
-                    "futures submitted to the process pool",
-                    task_index=index,
-                    attempt=attempt,
-                    backend=self.spec.name,
-                )
-            assert self.executor is not None
-            payload = ((feature, parameter, norm, cfg), attempt, span_ctx)
-            try:
-                fut = self.executor.submit(fault_radius_task, payload)
-            except (BrokenExecutor, RuntimeError):
-                self._on_pool_break((index, attempt))
-                continue
-            deadline = (
-                time.monotonic() + cfg.task_timeout if cfg.task_timeout else None
-            )
-            self.inflight[fut] = (index, attempt, deadline)
-
-    def _drain_serial(self) -> None:
-        """Executor creation failed: finish inline, but never run tasks with
-        crash/hang history in the parent process."""
-        while self.pending:
-            index, attempt = self.pending.popleft()
-            history = self.suspect[index]
-            if history is not None:
-                exc: ReproError
-                if history == "crash":
-                    exc = WorkerCrashError(task_index=index, attempts=attempt + 1)
-                else:
-                    exc = SolverTimeoutError(task_index=index)
-                self._terminal_exception(index, attempt + 1, history, exc)
-                continue
-            res, rec = _solve_one_inline(
-                index, self.tasks[index], self.config, self.policy, self.on_error
-            )
-            self._finish(index, res, rec)
-
     def run(self) -> tuple[list[RadiusResult], list[FailureRecord]]:
         try:
             while self.pending or self.inflight:
-                if self.serial_only:
-                    self._drain_serial()
-                    break
                 self._submit_pending()
                 if not self.inflight:
-                    if self.serial_only:
-                        self._drain_serial()
-                        break
                     continue
-                now = time.monotonic()
-                deadlines = [d for (_, _, d) in self.inflight.values() if d is not None]
-                timeout = max(0.0, min(deadlines) - now) if deadlines else None
-                done, _ = wait(set(self.inflight), timeout=timeout, return_when=FIRST_COMPLETED)
+                done = [fut for fut in self.inflight if fut.done()]
                 if not done:
-                    now = time.monotonic()
-                    overdue = [
-                        fut
-                        for fut, (_, _, d) in self.inflight.items()
-                        if d is not None and now >= d and not fut.done()
-                    ]
-                    if overdue:
-                        self._on_timeouts(overdue)
-                    continue
-                broke = False
+                    deadlines = [d for (_, _, d) in self.inflight.values() if d is not None]
+                    timeout = (
+                        max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+                    )
+                    done = wait(
+                        set(self.inflight), timeout=timeout, return_when=FIRST_COMPLETED
+                    )[0]
+                    if not done:
+                        self._on_timeouts()
+                        continue
                 for fut in done:
                     if fut not in self.inflight:
-                        continue
-                    index, attempt, _ = self.inflight.pop(fut)
+                        continue  # poisoned by a pool break handled above
+                    unit, submitted, _ = self.inflight.pop(fut)
                     try:
-                        res = fut.result()
+                        out = fut.result()
                     except BrokenExecutor:
-                        self._on_pool_break((index, attempt))
-                        broke = True
-                        break
-                    except BaseException as exc:  # noqa: BLE001 - routed per kind
-                        self._on_worker_exception(index, attempt, exc)
+                        self._on_pool_break(unit, submitted)
                         continue
-                    if isinstance(res, obs_trace.TracedResult):
+                    except Exception as exc:  # noqa: BLE001 - routed per kind
+                        self._on_unit_error(unit, submitted, exc)
+                        continue
+                    if isinstance(out, obs_trace.TracedResult):
                         tracer = obs_trace.get_tracer()
                         if tracer is not None and obs_trace.enabled():
-                            tracer.ingest(res.spans)
-                        res = res.result
-                    self._on_result(index, attempt, res)
-                if broke:
-                    continue
+                            tracer.ingest(out.spans)
+                        out = out.result
+                    for (index, attempt), (outcome, wall) in zip(unit, out):
+                        self._settle(index, attempt, outcome, wall=wall)
         finally:
-            self._kill_executor()
+            self._kill_pool()
+            self.local.shutdown()
         failures = [self.records[i] for i in sorted(self.records)]
         return list(self.results), failures

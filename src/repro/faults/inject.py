@@ -20,8 +20,8 @@ counters are process-local and deliberately reset on unpickling
 (``__getstate__``), so a worker always starts counting from zero no matter
 how many times the parent probed the impact — which also means a counter
 cannot span retry attempts.  Attempt-aware healing is therefore driven by
-:data:`CURRENT_ATTEMPT`, a module global the pool worker entry point
-(:func:`repro.engine.fault.fault_radius_task`) sets before each solve: an
+:data:`CURRENT_ATTEMPT`, a module global the worker entry point
+(:func:`repro.engine.fault.solve_unit`) sets before each solve: an
 injector with ``heal_after_attempt=k`` behaves normally from attempt ``k``
 on, modeling transient faults that a retry genuinely fixes.
 
@@ -57,7 +57,8 @@ __all__ = [
 ]
 
 #: retry attempt (0-based) the enclosing solve is running under; published by
-#: :func:`repro.engine.fault.fault_radius_task` in pool workers, 0 otherwise.
+#: :func:`repro.engine.fault.solve_unit` before each attempt (inline or in a
+#: pool worker), 0 otherwise.
 CURRENT_ATTEMPT: int = 0
 
 #: valid injector modes

@@ -155,8 +155,8 @@ class TracedResult:
     """A worker's return value plus the spans it recorded (picklable).
 
     Pool workers only produce this when the submission carried a
-    :class:`SpanContext`; the supervisor unwraps it immediately and ingests
-    the spans, so nothing downstream of the fault layer ever sees it.
+    :class:`SpanContext`; the fault scheduler unwraps it immediately and
+    ingests the spans, so nothing downstream of the fault layer ever sees it.
     """
 
     result: Any

@@ -144,11 +144,10 @@ class TestResolve:
 
 class TestExecute:
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_submit_and_map_round_trip(self, name):
+    def test_submit_round_trip(self, name):
         backend = get_backend_class(name)(max_workers=2)
         try:
             assert backend.submit(_square, 7).result(timeout=60) == 49
-            assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
         finally:
             backend.shutdown()
 
@@ -236,6 +235,85 @@ class TestParityMatrix:
         assert _records_no_wall(batched_failures) == _records_no_wall(
             per_task_failures
         )
+
+
+def _invalid_away_from_origin(pi):
+    value = float(pi @ pi)
+    if value > 0.6:  # the origin (0.5, 0.5) evaluates cleanly
+        raise ValidationError("impact undefined away from the origin")
+    return value
+
+
+def _divide_by_zero(pi):
+    return float(pi @ pi) / 0.0
+
+
+class TestRaisingImpactParity:
+    """An impact that raises ends the same way on every path: serial, the
+    chunked process path and the per-task process path (a deadline forces
+    one task per future).  ``ValidationError`` raises in every mode; any
+    other exception is a retried solver-stage failure, recorded as
+    ``stage="solve"`` or, under ``"raise"``, raised."""
+
+    # one worker, six tasks: the chunked path ships chunks of two tasks
+    CONFIG = SolverConfig(pool_size=1, n_starts=1, seed=7)
+    POLICY = RetryPolicy(max_attempts=2, backoff_base=0.0)
+    PATHS = (
+        ("serial", None),
+        ("process", None),
+        ("process", 60.0),
+    )
+
+    def _outcome(self, impact, on_error, backend, task_timeout):
+        cfg = self.CONFIG.replace(task_timeout=task_timeout)
+        tasks = _tasks(6, cfg)
+        faulty = PerformanceFeature(
+            "bad_3", CallableImpact(impact, name="bad"), FeatureBounds.upper_only(4.0)
+        )
+        tasks[3] = (faulty, PARAM, tasks[3][2], cfg)
+        try:
+            results, failures = solve_radius_tasks_isolated(
+                tasks, cfg, policy=self.POLICY, on_error=on_error, backend=backend
+            )
+        except Exception as exc:  # the outcome under test
+            return ("raised", type(exc).__name__, str(exc))
+        return ("returned", _result_dicts(results), _records_no_wall(failures))
+
+    @pytest.mark.parametrize("on_error", ["record", "raise"])
+    def test_validation_error_raises_on_every_path(self, on_error):
+        outcomes = [
+            self._outcome(_invalid_away_from_origin, on_error, backend, timeout)
+            for backend, timeout in self.PATHS
+        ]
+        assert outcomes[0] == (
+            "raised",
+            "ValidationError",
+            "impact undefined away from the origin",
+        )
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+
+    def test_other_exception_is_recorded_on_every_path(self):
+        outcomes = [
+            self._outcome(_divide_by_zero, "record", backend, timeout)
+            for backend, timeout in self.PATHS
+        ]
+        kind, results, failures = outcomes[0]
+        assert kind == "returned"
+        assert [(r.task_index, r.stage, r.attempts) for r in failures] == [(3, "solve", 2)]
+        assert "ZeroDivisionError" in failures[0].exception
+        assert results[3]["solver"] == "failed"
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+
+    def test_other_exception_raises_in_raise_mode_on_every_path(self):
+        outcomes = [
+            self._outcome(_divide_by_zero, "raise", backend, timeout)
+            for backend, timeout in self.PATHS
+        ]
+        assert outcomes[0][:2] == ("raised", "ZeroDivisionError")
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
 
 
 @pytest.mark.chaos
@@ -339,6 +417,26 @@ class TestObservabilityParity:
                 # inline solves record no worker spans at all
                 assert worker_pids == set(), name
             obs.disable()
+
+    @pytest.mark.chaos
+    def test_spans_keep_global_indices_after_a_dead_chunk(self, caplog):
+        # the crash kills the chunk holding task 5 and poisons its
+        # neighbours; the re-run tasks still report their batch-wide index
+        tasks = _tasks(8, self.CONFIG)
+        tasks[5] = (wrap_feature(_feature(5), "crash", worker_only=True), PARAM, None, self.CONFIG)
+        with obs.observed() as tracer:
+            _, failures = solve_radius_tasks_isolated(
+                tasks, self.CONFIG, policy=self.POLICY, on_error="record", backend="process"
+            )
+        terminals = [s for s in tracer.spans() if s.name == "fault.task"]
+        assert sorted((s.attrs["task_index"], s.attrs["feature"]) for s in terminals) == [
+            (i, f"q_{i}") for i in range(8)
+        ]
+        assert [(r.task_index, r.stage) for r in failures] == [(5, "crash")]
+        messages = [r.getMessage() for r in caplog.records]
+        crash_logs = [m for m in messages if "crash on attempt" in m]
+        assert crash_logs
+        assert all(m.startswith("task 5:") for m in crash_logs)
 
     def test_process_submits_one_future_per_chunk(self):
         # 40 tasks over 2 workers: about four chunks per worker, so 8 chunks

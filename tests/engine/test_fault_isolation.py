@@ -7,6 +7,7 @@ them with a two-worker pool via ``REPRO_CHAOS_POOL_SIZE``.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -456,3 +457,59 @@ class TestChaosAcceptance:
         assert failures[0].attempts == 2
         for i in (0, 1, 2, 4):
             assert results[i].converged
+
+
+# Run in a child interpreter: a one-task batch that ran in the caller would
+# kill (crash) or block (hang) the test process itself.
+_ONE_TASK_CHILD = """
+import json, sys
+from repro.core.config import SolverConfig
+from repro.engine import RetryPolicy, solve_radius_tasks_isolated
+from repro.faults import wrap_feature
+from tests.engine.test_fault_isolation import PARAM, _feature
+
+mode = sys.argv[1]
+cfg = SolverConfig(pool_size=1, task_timeout=0.5 if mode == "hang" else None)
+feature = wrap_feature(_feature(0), mode, hang_seconds=1.0)
+results, failures = solve_radius_tasks_isolated(
+    [(feature, PARAM, None, cfg)],
+    cfg,
+    policy=RetryPolicy(max_attempts=1, backoff_base=0.0),
+    on_error="record",
+    backend="process",
+)
+print(json.dumps([[r.task_index, r.stage] for r in failures]))
+"""
+
+
+@pytest.mark.chaos
+class TestOneTaskIsolation:
+    """Isolation does not depend on batch size: a one-task batch on the
+    process backend runs in a worker, so a crash or a hang stays there."""
+
+    @pytest.mark.parametrize("mode, stage", [("crash", "crash"), ("hang", "timeout")])
+    def test_one_task_batch_runs_in_a_worker(self, mode, stage):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1]), str(root)]
+        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", _ONE_TASK_CHILD, mode],
+                cwd=root,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=20,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"one-task {mode} batch still blocked the caller after 20 s")
+        assert proc.returncode == 0, f"the caller died ({proc.returncode}): {proc.stderr[-2000:]}"
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[0, stage]]

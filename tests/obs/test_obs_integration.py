@@ -142,7 +142,7 @@ class TestTerminalAccounting:
 
     def test_pooled_run_ships_worker_spans_back(self):
         cfg = SolverConfig(pool_size=2, cache_size=0)
-        engine = RobustnessEngine(config=cfg)
+        engine = RobustnessEngine(config=cfg, backend="process")
         problems = [([_feature(i)], PARAM) for i in range(3)]
         with obs.observed() as tracer:
             batch = engine.evaluate_population(problems, on_error="record")
