@@ -11,10 +11,8 @@ Claims checked:
 - the warm run re-analyzes **zero** modules;
 - warm and cold runs produce identical findings and suppression counts;
 - the warm run is measurably faster (at least 1.25x on min-of-repeats);
-- the concurrency family (R110-R114) alone costs no more than a full
-  cold run — its facts ride the same single parse/summary pass;
-- likewise the performance family (R120-R124): its ndarray/loop facts are
-  extracted in the same pass, so a perf-only run stays cold-run cheap;
+- the concurrency family (R110, R111, R113, R114) alone costs no more
+  than a full cold run — its facts ride the same single parse/summary pass;
 - the measured times land in ``benchmarks/out/BENCH_lint.json`` so CI can
   chart the cache's effect over time.
 """
@@ -34,8 +32,7 @@ OUT_DIR = Path(__file__).parent / "out"
 SRC_TREE = Path(repro.__file__).resolve().parent
 REPEATS = 3
 MIN_SPEEDUP = 1.25
-CONCUR_RULES = ["R110", "R111", "R112", "R113", "R114"]
-PERF_RULES = ["R120", "R121", "R122", "R123", "R124"]
+CONCUR_RULES = ["R110", "R111", "R113", "R114"]
 
 
 def _time_lint(cache_path: Path):
@@ -64,16 +61,7 @@ def timings(tmp_path_factory):
         t0 = time.perf_counter()
         concur_report = lint_paths([SRC_TREE], select=CONCUR_RULES)
         concur = min(concur, time.perf_counter() - t0)
-    perf = float("inf")
-    perf_report = None
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        perf_report = lint_paths([SRC_TREE], select=PERF_RULES)
-        perf = min(perf, time.perf_counter() - t0)
-    return (
-        cold, cold_report, warm, warm_report,
-        concur, concur_report, perf, perf_report,
-    )
+    return cold, cold_report, warm, warm_report, concur, concur_report
 
 
 class TestIncrementalCacheBenchmark:
@@ -94,28 +82,15 @@ class TestIncrementalCacheBenchmark:
         concur, concur_report = timings[4], timings[5]
         assert concur_report.clean
         assert concur_report.files_checked == cold_report.files_checked
-        # parse+summaries dominate and are shared: five extra rules must
+        # parse+summaries dominate and are shared: four extra rules must
         # not cost more than the whole registry does (generous 1.5x slack
         # because `cold` is a single measurement, `concur` min-of-repeats)
         assert concur <= cold * 1.5, (concur, cold)
 
-    def test_perf_family_not_costlier_than_full_registry(self, timings):
-        cold, cold_report = timings[0], timings[1]
-        perf, perf_report = timings[6], timings[7]
-        assert perf_report.clean
-        assert perf_report.files_checked == cold_report.files_checked
-        # same argument as the concur family: the perf facts ride the one
-        # shared parse/summary pass, so the family adds no second traversal
-        assert perf <= cold * 1.5, (perf, cold)
-
     def test_warm_is_faster_and_recorded(self, timings):
-        (
-            cold, cold_report, warm, warm_report,
-            concur, concur_report, perf, perf_report,
-        ) = timings
+        cold, cold_report, warm, warm_report, concur, concur_report = timings
         speedup = cold / warm if warm > 0 else float("inf")
         concur_fps = concur_report.files_checked / concur if concur > 0 else float("inf")
-        perf_fps = perf_report.files_checked / perf if perf > 0 else float("inf")
         OUT_DIR.mkdir(exist_ok=True)
         payload = {
             "files": cold_report.files_checked,
@@ -125,14 +100,11 @@ class TestIncrementalCacheBenchmark:
             "warm_reanalyzed": warm_report.n_reanalyzed,
             "concur_seconds": round(concur, 4),
             "concur_files_per_second": round(concur_fps, 1),
-            "perf_seconds": round(perf, 4),
-            "perf_files_per_second": round(perf_fps, 1),
             "repeats": REPEATS,
         }
         out = OUT_DIR / "BENCH_lint.json"
         out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         print(f"\nlint cache: cold {cold:.3f}s, warm {warm:.3f}s "
-              f"({speedup:.1f}x); concur-only {concur:.3f}s; "
-              f"perf-only {perf:.3f}s\n"
+              f"({speedup:.1f}x); concur-only {concur:.3f}s\n"
               f"[report saved to {out}]")
         assert speedup >= MIN_SPEEDUP, payload

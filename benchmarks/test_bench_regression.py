@@ -38,7 +38,6 @@ CHECKS = [
     ("BENCH_engine.json", "batched_speedup_over_per_task", "higher", 0.7),
     ("BENCH_lint.json", "speedup", "higher", 0.4),
     ("BENCH_lint.json", "concur_files_per_second", "higher", 0.4),
-    ("BENCH_lint.json", "perf_files_per_second", "higher", 0.4),
     ("BENCH_obs.json", "disabled_overhead_fraction", "lower", 0.02),
     ("BENCH_resilience.json", "steps_per_second", "higher", 0.3),
     ("BENCH_serve.json", "rps_64", "higher", 0.2),

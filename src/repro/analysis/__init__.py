@@ -8,35 +8,26 @@ the boundary solvers require impact functions pure in ``pi``; the
 fault-tolerant layer requires that no failure is silently swallowed.  This
 package enforces those contracts *mechanically*, as an AST lint pass over
 the source tree, so the invariants are checkable properties of the program
-rather than conventions.
+rather than conventions.  It is development tooling: only ``repro lint``
+imports it, never the runtime.
 
-Rule codes (see :mod:`repro.analysis.checks`,
-:mod:`repro.analysis.interproc` and ``docs/ANALYSIS.md``):
+Rule codes (see :mod:`repro.analysis.checks` and ``docs/ANALYSIS.md``):
 
 ====  =========================  ==============================================
 R001  legacy-global-rng          global-state RNG breaks seeded replay
 R002  unseeded-default-rng       library RNGs must flow from an explicit seed
-R003  float-equality             ``==``/``!=`` on measured float quantities
 R004  unpicklable-pool-payload   lambdas/closures across the pool boundary
 R005  exception-pickle-contract  kw-only exception ``__init__`` sans ``__reduce__``
 R006  impact-mutates-pi          impact/feature functions must be pure in ``pi``
-R007  swallowed-exception        broad except hiding failure information
 R008  frozen-field-mutation      ``object.__setattr__`` outside ``__post_init__``
-R009  deprecated-entry-point     removed/deprecated API still referenced
-R101  tainted-seed-provenance    RNG seed not derivable from config/constants
+R101  seed-provenance-taint      RNG seed not derivable from config/constants
 R102  pool-shared-state-race     pool task reads state the submitter mutates
-R103  aliased-perturbation       callee mutates a caller's ``pi`` in place
+R103  perturbation-aliasing      callee mutates a caller's ``pi`` in place
 R104  unrecorded-failure-path    handler drops errors without a FailureRecord
 R110  blocking-call-in-async     sleep/result/IO inside ``async def`` stalls loop
 R111  await-straddle-race        shared state RMW across await / from pool task
-R112  lock-order-cycle           conflicting lock acquisition orders (deadlock)
 R113  fire-and-forget-task       discarded create_task handle loses exceptions
 R114  context-propagation-gap    obs context not carried across executor hop
-R120  per-element-ndarray-loop   Python loop where one numpy expression would do
-R121  per-task-array-pickle      full ndarray pickled per submit in a task loop
-R122  unhoisted-loop-invariant   expensive invariant call runs every iteration
-R123  concat-in-loop             quadratic np.concatenate/append accumulation
-R124  radius-cache-bypass        raw solve ignores the configured RadiusStore
 W000  stale-suppression          ``noqa[CODE]`` marker that no longer fires
 ====  =========================  ==============================================
 
@@ -44,15 +35,12 @@ R1xx rules are *interprocedural*: they run on per-module dataflow
 summaries joined into a project call graph
 (:mod:`repro.analysis.dataflow`), so a hazard threaded through helper
 functions or across modules is still caught.  The companion *runtime*
-layer, :mod:`repro.analysis.sanitize`, audits numeric post-conditions
+layer, :mod:`repro.engine.sanitize`, audits numeric post-conditions
 (NaN radii, negative radii at feasible origins, metric/minimum
 mismatches) that no static rule can see.
 
 Suppress a deliberate violation inline with ``# repro: noqa[CODE]`` plus a
-justification.  Findings that carry a :class:`~repro.analysis.findings.Fix`
-can be repaired mechanically — ``repro lint --fix`` (or
-:func:`~repro.analysis.fixes.fix_paths`) applies the safe ones and re-lints
-to a fixpoint; ``--fix --diff`` previews the edits.  Programmatic use::
+justification.  Programmatic use::
 
     from repro.analysis import lint_paths
     report = lint_paths([Path("src")])
@@ -62,8 +50,7 @@ to a fixpoint; ``--fix --diff`` previews the edits.  Programmatic use::
 from __future__ import annotations
 
 from repro.analysis.dataflow import ProjectContext, SummaryStore
-from repro.analysis.findings import Finding, Fix, FixSafety, Severity, TextEdit
-from repro.analysis.fixes import FileFixResult, FixOutcome, apply_fixes, fix_paths
+from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import (
     ProjectRule,
     Rule,
@@ -87,13 +74,6 @@ from repro.analysis.suppressions import suppressed_codes
 __all__ = [
     "Finding",
     "Severity",
-    "Fix",
-    "FixSafety",
-    "TextEdit",
-    "FileFixResult",
-    "FixOutcome",
-    "apply_fixes",
-    "fix_paths",
     "Rule",
     "ProjectRule",
     "register",

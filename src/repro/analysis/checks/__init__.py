@@ -12,24 +12,13 @@ from repro.analysis.checks.concur import (
     BlockingInAsyncRule,
     ContextPropagationGapRule,
     FireAndForgetTaskRule,
-    LockOrderCycleRule,
 )
-from repro.analysis.checks.deprecated import DeprecatedEntryPointRule
-from repro.analysis.checks.excepts import SwallowedExceptionRule
-from repro.analysis.checks.floats import FloatEqualityRule
 from repro.analysis.checks.frozen import FrozenMutationRule
 from repro.analysis.checks.interproc import (
     PerturbationAliasingRule,
     PoolSharedStateRule,
     SeedProvenanceRule,
     UnrecordedFailureRule,
-)
-from repro.analysis.checks.perf import (
-    ConcatInLoopRule,
-    ElementwiseLoopRule,
-    PerTaskArrayPickleRule,
-    RadiusCacheBypassRule,
-    UnhoistedInvariantRule,
 )
 from repro.analysis.checks.pickle_safety import (
     ExceptionReduceRule,
@@ -42,26 +31,17 @@ from repro.analysis.checks.stale import StaleSuppressionRule
 __all__ = [
     "LegacyGlobalRngRule",
     "UnseededDefaultRngRule",
-    "FloatEqualityRule",
     "UnpicklableSubmitRule",
     "ExceptionReduceRule",
     "ImpactPurityRule",
-    "SwallowedExceptionRule",
     "FrozenMutationRule",
-    "DeprecatedEntryPointRule",
     "SeedProvenanceRule",
     "PoolSharedStateRule",
     "PerturbationAliasingRule",
     "UnrecordedFailureRule",
     "BlockingInAsyncRule",
     "AwaitStraddleRule",
-    "LockOrderCycleRule",
     "FireAndForgetTaskRule",
     "ContextPropagationGapRule",
-    "ElementwiseLoopRule",
-    "PerTaskArrayPickleRule",
-    "UnhoistedInvariantRule",
-    "ConcatInLoopRule",
-    "RadiusCacheBypassRule",
     "StaleSuppressionRule",
 ]

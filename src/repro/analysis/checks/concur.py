@@ -1,14 +1,13 @@
-"""Concurrency & async-safety rules R110–R114 (project phase).
+"""Concurrency & async-safety rules R110, R111, R113, R114 (project phase).
 
 The family consumes the concurrency facts extracted into each
 :class:`~repro.analysis.dataflow.summaries.FunctionSummary` (``async def``
 boundaries, suspension points, lock regions, task spawns, blocking calls,
-obs-context use) and the three concurrency fixpoints on
+obs-context use) and the two concurrency fixpoints on
 :class:`~repro.analysis.dataflow.project.ProjectContext`
-(:attr:`blocking_roots`, :meth:`transitive_locks`,
-:attr:`uses_obs_context`).  Like the rest of the dataflow family the rules
-are shape-based and lean toward fewer false positives: an unresolvable
-receiver or callee never fires.
+(:attr:`blocking_roots`, :attr:`uses_obs_context`).  Like the rest of the
+dataflow family the rules are shape-based and lean toward fewer false
+positives: an unresolvable receiver or callee never fires.
 """
 
 from __future__ import annotations
@@ -17,21 +16,15 @@ from collections.abc import Iterator
 
 from repro.analysis.dataflow.project import ProjectContext
 from repro.analysis.dataflow.summaries import FunctionSummary, ModuleSummary
-from repro.analysis.findings import Finding, Fix, Severity, TextEdit
+from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import ProjectRule, register
 
 __all__ = [
     "BlockingInAsyncRule",
     "AwaitStraddleRule",
-    "LockOrderCycleRule",
     "FireAndForgetTaskRule",
     "ContextPropagationGapRule",
 ]
-
-
-def _qualified(mod: ModuleSummary) -> Iterator[tuple[str, FunctionSummary]]:
-    for fname, fsum in mod.functions.items():
-        yield f"{mod.module}.{fname}", fsum
 
 
 @register
@@ -158,118 +151,6 @@ class AwaitStraddleRule(ProjectRule):
 
 
 @register
-class LockOrderCycleRule(ProjectRule):
-    """R112: the interprocedural lock-acquisition graph has a cycle — two
-    code paths acquire the same locks in opposite orders (or a non-reentrant
-    lock is re-acquired while held), a potential deadlock."""
-
-    code = "R112"
-    name = "lock-order-cycle"
-    description = (
-        "locks are acquired in conflicting orders across code paths "
-        "(interprocedural) — potential deadlock"
-    )
-    severity = Severity.ERROR
-    applies_to_tests = True
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        edges = self._edges(project)
-        cyclic = self._cyclic_nodes(edges)
-        emitted: set[tuple[str, int, int]] = set()
-        for (held, acquired), sites in sorted(edges.items()):
-            if held == acquired:
-                in_cycle = True  # a self-edge is its own cycle
-            else:
-                in_cycle = (held, acquired) in cyclic
-            if not in_cycle:
-                continue
-            for path, line, col in sites:
-                if (path, line, col) in emitted:
-                    continue
-                emitted.add((path, line, col))
-                if held == acquired:
-                    msg = (
-                        f"re-acquires non-reentrant lock '{held}' while "
-                        "already holding it — self-deadlock"
-                    )
-                else:
-                    msg = (
-                        f"acquires '{acquired}' while holding '{held}', but "
-                        "another path acquires them in the opposite order — "
-                        "lock-order cycle (potential deadlock)"
-                    )
-                yield self.finding_at(path, line, col, msg)
-
-    @staticmethod
-    def _edges(
-        project: ProjectContext,
-    ) -> dict[tuple[str, str], list[tuple[str, int, int]]]:
-        """held-lock -> acquired-lock edges with their acquisition sites."""
-        edges: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
-
-        def add(held: str, acquired: str, path: str, line: int, col: int) -> None:
-            if held == acquired and "rlock" in held.rsplit(".", 1)[-1].lower():
-                return  # re-entrant by construction
-            edges.setdefault((held, acquired), []).append((path, line, col))
-
-        for mod in project.modules:
-            for f in mod.functions.values():
-                regions = f.lock_regions
-                for outer in regions:
-                    for inner in regions:
-                        if inner is outer:
-                            continue
-                        nested = (
-                            outer.line < inner.line
-                            and inner.end_line <= outer.end_line
-                        )
-                        # two lock items on one `with a, b:` acquire in order
-                        same_stmt = (
-                            outer.line == inner.line
-                            and outer.end_line == inner.end_line
-                            and outer.col < inner.col
-                        )
-                        if nested or same_stmt:
-                            add(
-                                outer.name, inner.name,
-                                mod.path, inner.line, inner.col,
-                            )
-                    for rec in f.calls:
-                        if not outer.covers(rec.line):
-                            continue
-                        for lock in project.transitive_locks(rec.callee):
-                            add(outer.name, lock, mod.path, rec.line, rec.col)
-        return edges
-
-    @staticmethod
-    def _cyclic_nodes(
-        edges: dict[tuple[str, str], list[tuple[str, int, int]]],
-    ) -> set[tuple[str, str]]:
-        """Edges whose endpoints sit on a directed cycle (mutual reach)."""
-        adjacency: dict[str, set[str]] = {}
-        for held, acquired in edges:
-            adjacency.setdefault(held, set()).add(acquired)
-            adjacency.setdefault(acquired, set())
-
-        def reaches(src: str, dst: str) -> bool:
-            seen = {src}
-            stack = [src]
-            while stack:
-                node = stack.pop()
-                for nxt in adjacency.get(node, ()):
-                    if nxt == dst:
-                        return True
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            return False
-
-        return {
-            (a, b) for a, b in edges if a != b and reaches(b, a)
-        }
-
-
-@register
 class FireAndForgetTaskRule(ProjectRule):
     """R113: the handle returned by ``asyncio.create_task``/
     ``ensure_future`` is discarded — the task may be garbage-collected
@@ -302,18 +183,6 @@ class FireAndForgetTaskRule(ProjectRule):
                         f"{spawn.api}({what}) handle is discarded — keep a "
                         "reference (or await/gather it) so the task cannot "
                         "be collected and its exception cannot vanish",
-                        fix=Fix(
-                            description="bind the task handle to _task",
-                            edits=(
-                                TextEdit(
-                                    start_line=spawn.line,
-                                    start_col=spawn.col,
-                                    end_line=spawn.line,
-                                    end_col=spawn.col,
-                                    replacement="_task = ",
-                                ),
-                            ),
-                        ),
                     )
 
 

@@ -2,7 +2,7 @@
 
 These rules consume the :class:`~repro.analysis.dataflow.project.
 ProjectContext` built from every module summary in the run; they see
-across call boundaries, which the syntactic rules R001–R008 cannot.
+across call boundaries, which the syntactic R00x rules cannot.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ class UnrecordedFailureRule(ProjectRule):
     applies_to_tests = False
 
     #: exception families whose silent disappearance loses a task failure;
-    #: plain ``Exception``/``ImportError`` catches are R007's domain
+    #: plain ``Exception``/``ImportError`` catches are out of scope
     _INTERESTING = frozenset(
         {
             "ReproError",

@@ -66,9 +66,9 @@ class UnpicklableSubmitRule(Rule):
     code = "R004"
     name = "unpicklable-pool-payload"
     description = (
-        "lambdas and nested functions passed to ExecutionBackend/"
-        "ProcessPoolExecutor submit or map, or to the engine fan-out, "
-        "cannot pickle under spawn; define the callable at module level"
+        "lambdas and nested functions passed to ExecutionBackend.submit, "
+        "ProcessPoolExecutor submit or map, or the engine fan-out cannot "
+        "pickle under spawn; define the callable at module level"
     )
     severity = Severity.ERROR
 

@@ -15,7 +15,7 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.context import FileContext
-from repro.analysis.findings import Finding, Fix, Severity, TextEdit
+from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import Rule, register
 
 __all__ = ["LegacyGlobalRngRule", "UnseededDefaultRngRule"]
@@ -123,29 +123,4 @@ class UnseededDefaultRngRule(Rule):
                     node,
                     "unseeded default_rng(); accept a seed argument and "
                     "forward it (ensure_rng normalizes None/int/Generator)",
-                    fix=self._seed_fix(node),
                 )
-
-    @staticmethod
-    def _seed_fix(node: ast.Call) -> Fix | None:
-        """Insert an explicit ``0`` seed just before the closing paren.
-
-        A constant placeholder is the determinism-preserving repair: the
-        call becomes replayable immediately, and threading a real ``seed``
-        parameter through the enclosing API is then an ordinary refactor.
-        """
-        end_line, end_col = node.end_lineno, node.end_col_offset
-        if end_line is None or end_col is None or end_col < 1:
-            return None  # pragma: no cover - pre-3.8 AST shape
-        return Fix(
-            description="seed default_rng() with an explicit 0 placeholder",
-            edits=(
-                TextEdit(
-                    start_line=end_line,
-                    start_col=end_col - 1,
-                    end_line=end_line,
-                    end_col=end_col - 1,
-                    replacement="0",
-                ),
-            ),
-        )

@@ -20,11 +20,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.analysis.context import FileContext
-from repro.analysis.findings import Finding, Fix, Severity, TextEdit
+from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import Rule, register
-from repro.analysis.suppressions import _NOQA
 
-__all__ = ["StaleSuppressionRule", "stale_marker_fix"]
+__all__ = ["StaleSuppressionRule"]
 
 
 @register
@@ -42,19 +41,9 @@ class StaleSuppressionRule(Rule):
         return iter(())
 
     def stale_finding(
-        self,
-        path: str,
-        line: int,
-        code: str,
-        known: bool,
-        line_text: str | None = None,
+        self, path: str, line: int, code: str, known: bool
     ) -> Finding:
-        """One stale-marker finding (called by the runner).
-
-        With *line_text* (the marker's source line) the finding carries a
-        fix that deletes the stale code from the marker — the whole comment
-        when it is the only code listed.
-        """
+        """One stale-marker finding (called by the runner)."""
         why = (
             f"suppression for {code} but no {code} finding on this line"
             if known
@@ -68,47 +57,4 @@ class StaleSuppressionRule(Rule):
             line=line,
             col=0,
             severity=self.severity,
-            fix=None if line_text is None else stale_marker_fix(line_text, line, code),
         )
-
-
-def stale_marker_fix(line_text: str, line_no: int, code: str) -> Fix | None:
-    """Edit removing *code* from the line's ``# repro: noqa[...]`` marker.
-
-    The sole code on a marker takes the whole comment with it (justification
-    text included, plus the whitespace separating it from the code).  One
-    code among several is snipped out together with one adjacent comma, so
-    the marker never degrades to the blanket ``noqa[]`` form.  Blanket
-    markers (no bracket list) are left alone — W000 never targets them.
-    """
-    m = _NOQA.search(line_text)
-    if m is None:
-        return None
-    group = m.group("codes")
-    if group is None:
-        return None
-    parts = group.split(",")
-    upper = [p.strip().upper() for p in parts]
-    if code.upper() not in upper:
-        return None
-    if sum(1 for p in upper if p) == 1:
-        start = m.start()
-        while start > 0 and line_text[start - 1] in " \t":
-            start -= 1
-        edit = TextEdit(line_no, start, line_no, len(line_text), "")
-        return Fix(
-            description=f"remove stale noqa[{code}] marker", edits=(edit,)
-        )
-    i = upper.index(code.upper())
-    base = m.start("codes")
-    part_start = base + sum(len(p) + 1 for p in parts[:i])
-    part_end = part_start + len(parts[i])
-    if i > 0:
-        span = (part_start - 1, part_end)  # take the preceding comma
-    else:
-        span = (part_start, part_end + 1)  # first code: take the comma after
-    edit = TextEdit(line_no, span[0], line_no, span[1], "")
-    return Fix(
-        description=f"drop stale code {code} from the noqa marker",
-        edits=(edit,),
-    )

@@ -1,6 +1,6 @@
 """Interprocedural dataflow layer of :mod:`repro.analysis`.
 
-The syntactic rules (R001–R008) look at one statement at a time.  This
+The syntactic rules (R00x) look at one statement at a time.  This
 subpackage adds a project-wide view in two phases:
 
 1. **Summary phase** (:mod:`repro.analysis.dataflow.summaries`) — each

@@ -38,8 +38,10 @@ __all__ = ["SummaryStore", "CACHE_VERSION", "DEFAULT_CACHE_PATH", "content_hash"
 #: loops, loop-invariant calls, accumulation sites — for R120–R124, plus
 #: fix payloads on cached raw findings; v5: R009 lost its legacy-pool
 #: checks and R004 its ``solve_radius_tasks`` fan-out name, so cached raw
-#: findings from v4 may be stale)
-CACHE_VERSION = 5
+#: findings from v4 may be stale; v6: the performance facts, R003, R007,
+#: R009, R112 and the fix payloads are gone, so v5 summaries and raw
+#: findings carry fields and codes this version no longer reads)
+CACHE_VERSION = 6
 
 #: default store location used by ``repro lint`` (cwd-relative)
 DEFAULT_CACHE_PATH = Path(".repro-lint-cache.json")

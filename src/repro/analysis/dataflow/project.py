@@ -15,20 +15,12 @@ monotone fixpoints on the call graph:
 - :meth:`transitive_global_reads` — mutable module globals captured
   directly or through callees (bounded BFS).
 
-The concurrency family (R110–R114) adds three more:
+The concurrency rules add two more:
 
 - :attr:`blocking_roots` — sync functions that (transitively) perform a
-  blocking call, with a human-readable chain for the finding message;
-- :meth:`transitive_locks` — lock identities a function may acquire,
-  directly or through callees (bounded BFS, feeds the R112 lock graph);
+  blocking call, with a human-readable chain for the finding message (R110);
 - :attr:`uses_obs_context` — whether a function (transitively) consumes
   ambient obs/contextvar state (R114).
-
-The performance family (R120–R124) adds one:
-
-- :attr:`consults_radius_store` — whether a function (transitively) probes
-  a radius store / LRU cache (``<store>.get`` / ``<cache>.get``) before
-  computing, which is what clears a raw-solver call under R124.
 
 All fixpoints are computed lazily on first use and cached for the lifetime
 of the context, which is one lint run.
@@ -64,9 +56,7 @@ class ProjectContext:
         self._creates_fr: dict[str, bool] | None = None
         self._global_reads: dict[str, frozenset[str]] = {}
         self._blocking_roots: dict[str, str] | None = None
-        self._locks: dict[str, frozenset[str]] = {}
         self._uses_context: dict[str, bool] | None = None
-        self._consults_store: dict[str, bool] | None = None
 
     # -- resolution --------------------------------------------------------
 
@@ -244,34 +234,6 @@ class ProjectContext:
             self._blocking_roots = roots
         return self._blocking_roots
 
-    # -- bounded BFS: transitive lock acquisition (R112) -------------------
-
-    def transitive_locks(self, qualname: str) -> frozenset[str]:
-        """Lock identities *qualname* may acquire, directly or via callees."""
-        cached = self._locks.get(qualname)
-        if cached is not None:
-            return cached
-        seen: set[str] = set()
-        locks: set[str] = set()
-        frontier = [qualname]
-        for _ in range(_MAX_DEPTH):
-            if not frontier:
-                break
-            next_frontier: list[str] = []
-            for name in frontier:
-                if name in seen:
-                    continue
-                seen.add(name)
-                f = self.functions.get(name)
-                if f is None:
-                    continue
-                locks.update(r.name for r in f.lock_regions)
-                next_frontier.extend(f.call_names)
-            frontier = next_frontier
-        result = frozenset(locks)
-        self._locks[qualname] = result
-        return result
-
     # -- fixpoint: transitive obs-context consumption (R114) ---------------
 
     @property
@@ -291,41 +253,3 @@ class ProjectContext:
                     break
             self._uses_context = status
         return self._uses_context
-
-    # -- fixpoint: transitive radius-store consultation (R124) -------------
-
-    @property
-    def consults_radius_store(self) -> dict[str, bool]:
-        """Function qualname -> "probes a radius store / cache first".
-
-        The local seed is any ``<receiver>.get(...)`` call whose receiver
-        chain names a store or cache (``store.get``, ``self.cache.get``,
-        ``RadiusStore.get``); the closure propagates backwards through the
-        call graph so a helper that does the lookup clears its callers.
-        """
-        if self._consults_store is None:
-            status = {
-                q: any(_is_store_lookup(name) for name in f.call_names)
-                for q, f in self.functions.items()
-            }
-            for _ in range(_MAX_DEPTH):
-                changed = False
-                for qual, f in self.functions.items():
-                    if status[qual]:
-                        continue
-                    if any(status.get(c, False) for c in f.call_names):
-                        status[qual] = True
-                        changed = True
-                if not changed:
-                    break
-            self._consults_store = status
-        return self._consults_store
-
-
-def _is_store_lookup(call_name: str) -> bool:
-    """``<...store/cache>.get`` — the shape of an LRU / RadiusStore probe."""
-    parts = call_name.split(".")
-    if len(parts) < 2 or parts[-1] != "get":
-        return False
-    receiver = parts[-2].lower()
-    return "store" in receiver or "cache" in receiver

@@ -20,7 +20,7 @@ toward *fewer false positives*:
 - **Handler shapes** record, for every ``except`` clause, what it catches
   and whether it locally raises / stores the bound exception / calls out —
   enough for R104 to decide if a failure can vanish.
-- **Concurrency facts** (the R110–R114 family) are shape-based: lock
+- **Concurrency facts** (R110, R111, R113, R114) are shape-based: lock
   acquisition is a ``with``/``async with`` on a receiver whose name reads
   as a lock, a blocking call is a known-blocking API or a ``.result()``/
   ``.join()``-style wait on a future-ish receiver, and obs-context use is
@@ -125,7 +125,7 @@ _BLOCKING_METHODS: dict[str, tuple[str, ...]] = {
     "get": ("queue",),
 }
 
-#: receiver-name fragments that read as a lock (regions for R111/R112)
+#: receiver-name fragments that read as a lock (regions for R111)
 _LOCK_HINTS = ("lock", "mutex")
 
 #: obs ambient-context consumers / producers (tails of resolved call names)
@@ -223,17 +223,11 @@ class SubmitSite:
     #: ``"func"`` for a module function / method name, ``"self_attr"`` for
     #: ``self.method`` passed as the callable
     target_kind: str | None
-    #: known-ndarray locals passed as task arguments (pickled per task)
-    ndarray_args: tuple[str, ...] = ()
-    #: the submit executes inside a loop (per-task fan-out)
-    in_loop: bool = False
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "line": self.line, "col": self.col,
             "target": self.target, "target_kind": self.target_kind,
-            "ndarray_args": list(self.ndarray_args),
-            "in_loop": self.in_loop,
         }
 
     @classmethod
@@ -241,8 +235,6 @@ class SubmitSite:
         return cls(
             line=d["line"], col=d["col"],
             target=d["target"], target_kind=d["target_kind"],
-            ndarray_args=tuple(d.get("ndarray_args", ())),
-            in_loop=d.get("in_loop", False),
         )
 
 
@@ -349,112 +341,6 @@ class BlockingCall:
 
 
 @dataclass(frozen=True)
-class LoopRegion:
-    """One ``for``/``while`` loop in a function body (nested loops get their
-    own region).  ``bound_names`` are the names assigned anywhere inside the
-    region — the loop-variance test for R122."""
-
-    line: int
-    end_line: int
-    bound_names: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "line": self.line, "end_line": self.end_line,
-            "bound_names": list(self.bound_names),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "LoopRegion":
-        return cls(
-            line=d["line"], end_line=d["end_line"],
-            bound_names=tuple(d.get("bound_names", ())),
-        )
-
-    def covers(self, line: int) -> bool:
-        return self.line <= line <= self.end_line
-
-
-@dataclass(frozen=True)
-class ElementLoop:
-    """One per-element Python loop over a known-ndarray local (R120)."""
-
-    line: int
-    col: int
-    #: name of the ndarray iterated element by element
-    array: str
-    #: how the loop walks it (``range(len(xs))`` / ``iterates xs directly``)
-    detail: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "line": self.line, "col": self.col,
-            "array": self.array, "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ElementLoop":
-        return cls(
-            line=d["line"], col=d["col"],
-            array=d["array"], detail=d["detail"],
-        )
-
-
-@dataclass(frozen=True)
-class LoopCall:
-    """One expensive call inside a loop whose arguments are all
-    loop-invariant (R122)."""
-
-    line: int
-    col: int
-    #: resolved callee (``numpy.linalg.inv`` / ``...ensure_rng``)
-    callee: str
-    #: header line of the innermost enclosing loop
-    loop_line: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "line": self.line, "col": self.col,
-            "callee": self.callee, "loop_line": self.loop_line,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "LoopCall":
-        return cls(
-            line=d["line"], col=d["col"],
-            callee=d["callee"], loop_line=d["loop_line"],
-        )
-
-
-@dataclass(frozen=True)
-class AccumSite:
-    """One ``acc = np.concatenate([acc, ...])``-style reallocation inside a
-    loop (R123)."""
-
-    line: int
-    col: int
-    #: numpy function tail (``concatenate`` / ``append`` / ``vstack`` ...)
-    func: str
-    #: the accumulator rebound to its own extension
-    name: str
-    #: header line of the innermost enclosing loop
-    loop_line: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "line": self.line, "col": self.col, "func": self.func,
-            "name": self.name, "loop_line": self.loop_line,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "AccumSite":
-        return cls(
-            line=d["line"], col=d["col"], func=d["func"],
-            name=d["name"], loop_line=d["loop_line"],
-        )
-
-
-@dataclass(frozen=True)
 class FunctionSummary:
     """Per-function facts feeding the project-level propagation phase."""
 
@@ -506,14 +392,6 @@ class FunctionSummary:
     #: snapshots ambient context before handing work off
     #: (``current_context()`` / ``copy_context()``)
     captures_context: bool = False
-    #: locals known to hold numpy ndarrays (factory calls, annotations,
-    #: array-method chains) — the type lattice under R120/R121
-    ndarray_locals: tuple[str, ...] = ()
-    #: every for/while region with the names it binds (R122 variance test)
-    loop_regions: tuple[LoopRegion, ...] = ()
-    element_loops: tuple[ElementLoop, ...] = ()
-    loop_calls: tuple[LoopCall, ...] = ()
-    accum_sites: tuple[AccumSite, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -544,11 +422,6 @@ class FunctionSummary:
             "shared_accesses": [list(a) for a in self.shared_accesses],
             "uses_context": self.uses_context,
             "captures_context": self.captures_context,
-            "ndarray_locals": list(self.ndarray_locals),
-            "loop_regions": [r.to_dict() for r in self.loop_regions],
-            "element_loops": [e.to_dict() for e in self.element_loops],
-            "loop_calls": [c.to_dict() for c in self.loop_calls],
-            "accum_sites": [a.to_dict() for a in self.accum_sites],
         }
 
     @classmethod
@@ -589,19 +462,6 @@ class FunctionSummary:
             ),
             uses_context=d.get("uses_context", False),
             captures_context=d.get("captures_context", False),
-            ndarray_locals=tuple(d.get("ndarray_locals", ())),
-            loop_regions=tuple(
-                LoopRegion.from_dict(r) for r in d.get("loop_regions", ())
-            ),
-            element_loops=tuple(
-                ElementLoop.from_dict(e) for e in d.get("element_loops", ())
-            ),
-            loop_calls=tuple(
-                LoopCall.from_dict(c) for c in d.get("loop_calls", ())
-            ),
-            accum_sites=tuple(
-                AccumSite.from_dict(a) for a in d.get("accum_sites", ())
-            ),
         )
 
 
@@ -1056,8 +916,6 @@ def _submit_sites(
     ctx: FileContext,
     module: str,
     class_name: str | None,
-    arrays: frozenset[str] = frozenset(),
-    regions: list[LoopRegion] | None = None,
 ) -> list[SubmitSite]:
     sites: list[SubmitSite] = []
     for node in body:
@@ -1099,26 +957,12 @@ def _submit_sites(
                     head = resolved.partition(".")[0]
                     target = _qualify(resolved, ctx, module, class_name)
                     kind = "self_attr" if head in ("self", "cls") else "func"
-        task_args = node.args[arg_index + 1 :]
-        ndarray_args = sorted(
-            {a.id for a in task_args if isinstance(a, ast.Name) and a.id in arrays}
-            | {
-                kw.value.id
-                for kw in node.keywords
-                if isinstance(kw.value, ast.Name) and kw.value.id in arrays
-            }
-        )
-        in_loop = (
-            _innermost_loop(regions, node.lineno) is not None if regions else False
-        )
         sites.append(
             SubmitSite(
                 line=node.lineno,
                 col=node.col_offset,
                 target=target,
                 target_kind=kind,
-                ndarray_args=tuple(ndarray_args),
-                in_loop=in_loop,
             )
         )
     return sites
@@ -1522,364 +1366,6 @@ def _call_records(
     return records, sorted(names)
 
 
-# --------------------------------------------------------------------------
-# performance facts (R120–R124)
-# --------------------------------------------------------------------------
-
-#: numpy calls that definitely construct an ndarray (scalar-preserving
-#: ufuncs like ``np.abs`` are deliberately absent — a wrong "is ndarray"
-#: fact is worse than a missing one)
-_NP_ARRAY_FACTORIES = frozenset(
-    {
-        "numpy.array", "numpy.asarray", "numpy.ascontiguousarray",
-        "numpy.zeros", "numpy.ones", "numpy.empty", "numpy.full",
-        "numpy.arange", "numpy.linspace", "numpy.logspace",
-        "numpy.concatenate", "numpy.stack", "numpy.vstack", "numpy.hstack",
-        "numpy.column_stack", "numpy.zeros_like", "numpy.ones_like",
-        "numpy.empty_like", "numpy.full_like",
-        "numpy.atleast_1d", "numpy.atleast_2d",
-    }
-)
-
-#: ndarray methods whose result is again an ndarray
-_ARRAY_METHODS = frozenset(
-    {"copy", "astype", "reshape", "ravel", "flatten", "clip",
-     "cumsum", "cumprod", "take", "transpose"}
-)
-
-#: call tails expensive enough that re-running them per loop iteration with
-#: unchanged arguments is a hot-path bug (R122): linear-algebra entry
-#: points, RNG construction, engine/solver construction
-_EXPENSIVE_PREFIXES = ("numpy.linalg.", "scipy.optimize.", "scipy.linalg.")
-_EXPENSIVE_TAILS = frozenset(
-    {"default_rng", "SeedSequence", "ensure_rng", "spawn_rngs",
-     "RobustnessEngine"}
-)
-
-#: numpy array-growing calls that reallocate the accumulator (R123)
-_ACCUM_FUNCS = frozenset(
-    {
-        "numpy.concatenate", "numpy.append", "numpy.vstack", "numpy.hstack",
-        "numpy.row_stack", "numpy.column_stack", "numpy.stack",
-    }
-)
-
-
-def _annotation_is_ndarray(ann: ast.expr | None) -> bool:
-    if ann is None:
-        return False
-    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-        text = ann.value
-    else:
-        try:
-            text = ast.unparse(ann)
-        except (ValueError, RecursionError):  # pragma: no cover - exotic shape
-            return False
-    return "ndarray" in text.lower()
-
-
-def _ndarray_locals(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-    body: list[ast.AST],
-    ctx: FileContext,
-) -> frozenset[str]:
-    """Names known to hold ndarrays: annotated params/locals, factory-call
-    results, and aliases/method chains thereof (small local fixpoint)."""
-    known: set[str] = set()
-    args = func.args
-    for a in args.posonlyargs + args.args + args.kwonlyargs:
-        if _annotation_is_ndarray(a.annotation):
-            known.add(a.arg)
-
-    def is_array_expr(expr: ast.expr) -> bool:
-        if isinstance(expr, ast.Name):
-            return expr.id in known
-        if isinstance(expr, ast.BinOp):
-            return is_array_expr(expr.left) or is_array_expr(expr.right)
-        if isinstance(expr, ast.Call):
-            resolved = ctx.resolve(expr.func)
-            if resolved in _NP_ARRAY_FACTORIES:
-                return True
-            fn = expr.func
-            return (
-                isinstance(fn, ast.Attribute)
-                and fn.attr in _ARRAY_METHODS
-                and isinstance(fn.value, ast.Name)
-                and fn.value.id in known
-            )
-        return False
-
-    bindings: list[tuple[str, ast.expr]] = []
-    for node in body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            t = node.targets[0]
-            if isinstance(t, ast.Name):
-                bindings.append((t.id, node.value))
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            if _annotation_is_ndarray(node.annotation):
-                known.add(node.target.id)
-            elif node.value is not None:
-                bindings.append((node.target.id, node.value))
-    for _ in range(4):  # alias chains are short; 4 rounds reach fixpoint
-        changed = False
-        for name, value in bindings:
-            if name not in known and is_array_expr(value):
-                known.add(name)
-                changed = True
-        if not changed:
-            break
-    return frozenset(known)
-
-
-def _loop_regions(body: list[ast.AST]) -> list[LoopRegion]:
-    regions: list[LoopRegion] = []
-    for node in body:
-        if not isinstance(node, (ast.For, ast.While, ast.AsyncFor)):
-            continue
-        end_line = getattr(node, "end_lineno", None) or node.lineno
-        bound: set[str] = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.For, ast.AsyncFor)):
-                bound.update(_target_names(sub.target))
-            elif isinstance(sub, ast.Assign):
-                for t in sub.targets:
-                    bound.update(_target_names(t))
-            elif isinstance(sub, (ast.AugAssign, ast.AnnAssign)):
-                bound.update(_target_names(sub.target))
-            elif isinstance(sub, ast.NamedExpr):
-                bound.update(_target_names(sub.target))
-            elif isinstance(sub, (ast.withitem,)) and sub.optional_vars is not None:
-                bound.update(_target_names(sub.optional_vars))
-        regions.append(
-            LoopRegion(
-                line=node.lineno, end_line=end_line,
-                bound_names=tuple(sorted(bound)),
-            )
-        )
-    return regions
-
-
-def _innermost_loop(regions: list[LoopRegion], line: int) -> LoopRegion | None:
-    best: LoopRegion | None = None
-    for r in regions:
-        if r.covers(line) and (best is None or r.line > best.line):
-            best = r
-    return best
-
-
-def _indexed_by(expr: ast.expr, idx: str) -> bool:
-    return any(
-        isinstance(n, ast.Name) and n.id == idx for n in ast.walk(expr)
-    )
-
-
-def _range_stop_array(it: ast.expr, arrays: frozenset[str]) -> tuple[str, str] | None:
-    """``(array, detail)`` when *it* is ``range(len(A))`` / ``range(A.shape[0])``."""
-    if not (
-        isinstance(it, ast.Call)
-        and isinstance(it.func, ast.Name)
-        and it.func.id == "range"
-        and it.args
-    ):
-        return None
-    stop = it.args[0] if len(it.args) == 1 else it.args[1]
-    if (
-        isinstance(stop, ast.Call)
-        and isinstance(stop.func, ast.Name)
-        and stop.func.id == "len"
-        and len(stop.args) == 1
-        and isinstance(stop.args[0], ast.Name)
-        and stop.args[0].id in arrays
-    ):
-        name = stop.args[0].id
-        return name, f"range(len({name}))"
-    if (
-        isinstance(stop, ast.Subscript)
-        and isinstance(stop.value, ast.Attribute)
-        and stop.value.attr == "shape"
-        and isinstance(stop.value.value, ast.Name)
-        and stop.value.value.id in arrays
-    ):
-        name = stop.value.value.id
-        return name, f"range({name}.shape[0])"
-    return None
-
-
-def _element_loops(
-    body: list[ast.AST], arrays: frozenset[str]
-) -> list[ElementLoop]:
-    """R120 sites: loops that touch a known ndarray one element at a time
-    while doing arithmetic a ufunc would vectorize.  Loops whose body only
-    *fills* an array from per-step calls (``out[t] = step(...)``) are
-    sequential recurrences, not vectorization candidates, and never fire."""
-    out: list[ElementLoop] = []
-    for loop in body:
-        if not isinstance(loop, ast.For) or not isinstance(loop.target, ast.Name):
-            continue
-        tgt = loop.target.id
-
-        def elem_subscript(n: ast.AST, idx: str) -> bool:
-            return (
-                isinstance(n, ast.Subscript)
-                and isinstance(n.value, ast.Name)
-                and n.value.id in arrays
-                and _indexed_by(n.slice, idx)
-            )
-
-        ranged = _range_stop_array(loop.iter, arrays)
-        if ranged is not None:
-            array, detail = ranged
-            hit = False
-            for stmt in loop.body:
-                for n in ast.walk(stmt):
-                    # only arithmetic on the element counts: a bare
-                    # ``out[t] = step(...)`` fill is often a genuinely
-                    # sequential recurrence and must not fire
-                    if isinstance(n, (ast.BinOp, ast.AugAssign)):
-                        if any(elem_subscript(m, tgt) for m in ast.walk(n)):
-                            hit = True
-                            break
-                if hit:
-                    break
-            if hit:
-                out.append(
-                    ElementLoop(
-                        line=loop.lineno, col=loop.col_offset,
-                        array=array, detail=detail,
-                    )
-                )
-            continue
-        # direct iteration: ``for x in A`` feeding scalar arithmetic
-        if isinstance(loop.iter, ast.Name) and loop.iter.id in arrays:
-            array = loop.iter.id
-            hit = False
-            for stmt in loop.body:
-                for n in ast.walk(stmt):
-                    if isinstance(n, (ast.BinOp, ast.AugAssign)) and _indexed_by(
-                        n, tgt
-                    ):
-                        hit = True
-                        break
-                if hit:
-                    break
-            if hit:
-                out.append(
-                    ElementLoop(
-                        line=loop.lineno, col=loop.col_offset,
-                        array=array, detail=f"iterates {array} directly",
-                    )
-                )
-    return out
-
-
-def _loop_invariant(expr: ast.expr, bound: frozenset[str]) -> bool:
-    """Provably unchanged across loop iterations (conservative: an
-    unknown shape counts as variant)."""
-    if isinstance(expr, ast.Constant):
-        return True
-    if isinstance(expr, ast.Name):
-        return expr.id not in bound
-    if isinstance(expr, (ast.Attribute, ast.Subscript)):
-        if isinstance(expr, ast.Subscript) and any(
-            isinstance(n, ast.Name) and n.id in bound
-            for n in ast.walk(expr.slice)
-        ):
-            return False
-        root = _root_name(expr)
-        return root is not None and root not in bound
-    if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-        return all(_loop_invariant(e, bound) for e in expr.elts)
-    if isinstance(expr, ast.Starred):
-        return _loop_invariant(expr.value, bound)
-    if isinstance(expr, ast.UnaryOp):
-        return _loop_invariant(expr.operand, bound)
-    if isinstance(expr, ast.BinOp):
-        return _loop_invariant(expr.left, bound) and _loop_invariant(
-            expr.right, bound
-        )
-    return False
-
-
-def _is_expensive_call(resolved: str) -> bool:
-    if resolved.startswith(_EXPENSIVE_PREFIXES):
-        return True
-    return resolved.rsplit(".", 1)[-1] in _EXPENSIVE_TAILS
-
-
-def _loop_calls(
-    body: list[ast.AST], ctx: FileContext, regions: list[LoopRegion]
-) -> list[LoopCall]:
-    """R122 sites: expensive calls inside a loop whose arguments are all
-    loop-invariant (hoisting them is a pure win)."""
-    if not regions:
-        return []
-    out: list[LoopCall] = []
-    for node in body:
-        if not isinstance(node, ast.Call):
-            continue
-        resolved = ctx.resolve(node.func)
-        if resolved is None or not _is_expensive_call(resolved):
-            continue
-        loop = _innermost_loop(regions, node.lineno)
-        if loop is None:
-            continue
-        bound = frozenset(loop.bound_names)
-        args_ok = all(_loop_invariant(a, bound) for a in node.args) and all(
-            _loop_invariant(kw.value, bound) for kw in node.keywords
-        )
-        if not args_ok:
-            continue
-        out.append(
-            LoopCall(
-                line=node.lineno, col=node.col_offset,
-                callee=resolved, loop_line=loop.line,
-            )
-        )
-    return out
-
-
-def _accum_sites(
-    body: list[ast.AST], ctx: FileContext, regions: list[LoopRegion]
-) -> list[AccumSite]:
-    """R123 sites: ``acc = np.concatenate([acc, ...])``-style growth in a
-    loop — quadratic reallocation where a preallocated buffer (or one
-    concatenate after the loop) is linear."""
-    if not regions:
-        return []
-    out: list[AccumSite] = []
-    for node in body:
-        if not (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Call)
-        ):
-            continue
-        resolved = ctx.resolve(node.value.func)
-        if resolved not in _ACCUM_FUNCS:
-            continue
-        target = node.targets[0].id
-        refs = {
-            n.id
-            for a in node.value.args
-            for n in ast.walk(a)
-            if isinstance(n, ast.Name)
-        }
-        if target not in refs:
-            continue
-        loop = _innermost_loop(regions, node.lineno)
-        if loop is None:
-            continue
-        out.append(
-            AccumSite(
-                line=node.lineno, col=node.col_offset,
-                func=resolved.rsplit(".", 1)[-1],
-                name=target, loop_line=loop.line,
-            )
-        )
-    return out
-
-
 def _classes_with_on_error(tree: ast.Module) -> frozenset[str]:
     found: set[str] = set()
     for node in tree.body:
@@ -1949,12 +1435,6 @@ def _summarize_function(
     g_reads, g_writes = _global_accesses(func, full_body, params, mutable_globals)
     calls, call_names = _call_records(full_body, ctx, module, class_name, params, rebind)
 
-    arrays = _ndarray_locals(func, body, ctx)
-    regions = _loop_regions(body)
-    element_loops = _element_loops(body, arrays)
-    loop_calls = _loop_calls(body, ctx, regions)
-    accum_sites = _accum_sites(body, ctx, regions)
-
     name = func.name if class_name is None else f"{class_name}.{func.name}"
     has_on_error = "on_error" in params or (
         class_name is not None and class_name in on_error_classes
@@ -1974,9 +1454,7 @@ def _summarize_function(
         global_writes=tuple(sorted(g_writes)),
         self_reads=tuple(sorted(self_reads)),
         self_writes=tuple(sorted(self_writes)),
-        submit_sites=tuple(
-            _submit_sites(full_body, ctx, module, class_name, arrays, regions)
-        ),
+        submit_sites=tuple(_submit_sites(full_body, ctx, module, class_name)),
         handlers=tuple(_handler_infos(full_body, ctx, module, class_name)),
         has_on_error=has_on_error,
         returns_derived=returns_derived,
@@ -1991,11 +1469,6 @@ def _summarize_function(
         shared_accesses=tuple(shared),
         uses_context=uses_ctx,
         captures_context=captures_ctx,
-        ndarray_locals=tuple(sorted(arrays)),
-        loop_regions=tuple(regions),
-        element_loops=tuple(element_loops),
-        loop_calls=tuple(loop_calls),
-        accum_sites=tuple(accum_sites),
     )
 
 

@@ -1,115 +1,31 @@
-"""Finding, severity and fix types of the static-analysis layer.
+"""Finding and severity types of the static-analysis layer.
 
 A :class:`Finding` is one rule violation at one source location.  Findings
 are plain frozen dataclasses so reporters (:mod:`repro.analysis.reporters`)
 and the CLI can serialize them without knowing anything about the rule that
 produced them.
-
-A finding may carry a :class:`Fix` — a machine-applicable repair made of
-span-based :class:`TextEdit`\\ s.  Fixes ride the finding through the
-incremental cache (they serialize with it), so ``repro lint --fix`` works
-identically on warm and cold runs.  The applier lives in
-:mod:`repro.analysis.fixes`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["Severity", "FixSafety", "TextEdit", "Fix", "Finding"]
+__all__ = ["Severity", "Finding"]
 
 
 class Severity(enum.Enum):
     """How hard a rule's violations break the library's contracts.
 
     ``ERROR`` rules guard invariants whose violation corrupts results
-    (replayability, pickle transport, purity); ``WARNING`` rules flag
-    constructs that are usually — but not provably — wrong (exact float
-    equality, swallowed exceptions).  Both fail the lint gate; the level is
-    informational.
+    (replayability, pickle transport, purity); ``WARNING`` flags lint
+    hygiene (a stale suppression marker).  Both fail the lint gate; the
+    level is informational.
     """
 
     ERROR = "error"
     WARNING = "warning"
-
-
-class FixSafety(enum.Enum):
-    """How much trust a fix deserves.
-
-    ``SAFE`` fixes are semantics-preserving repairs (or repairs whose new
-    semantics are exactly what the rule demands) and are applied by a plain
-    ``repro lint --fix``.  ``SUGGESTED`` fixes are scaffolds that need a
-    human to finish the thought (e.g. the R007 re-raise skeleton changes
-    control flow); they are only applied with ``--fix-suggested``.
-    """
-
-    SAFE = "safe"
-    SUGGESTED = "suggested"
-
-
-@dataclass(frozen=True)
-class TextEdit:
-    """One span replacement in a source file.
-
-    Spans use the same coordinate system as findings: 1-based lines,
-    0-based columns.  The span is half-open in document order — it covers
-    ``[start, end)``; a zero-width span (``start == end``) is a pure
-    insertion.  Edits always address the *original* file: the applier
-    resolves every edit against unmodified coordinates.
-    """
-
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-    replacement: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "start_line": self.start_line, "start_col": self.start_col,
-            "end_line": self.end_line, "end_col": self.end_col,
-            "replacement": self.replacement,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "TextEdit":
-        return cls(
-            start_line=int(d["start_line"]), start_col=int(d["start_col"]),
-            end_line=int(d["end_line"]), end_col=int(d["end_col"]),
-            replacement=str(d["replacement"]),
-        )
-
-
-@dataclass(frozen=True)
-class Fix:
-    """A machine-applicable repair for one finding.
-
-    A fix is applied atomically: either every edit lands or none does (the
-    applier skips whole fixes on overlap, and reverts the whole file if the
-    patched text no longer parses).
-    """
-
-    #: what the fix does, in imperative mood (shown by ``--fix-dry-run``)
-    description: str
-    edits: tuple[TextEdit, ...]
-    safety: FixSafety = FixSafety.SAFE
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "description": self.description,
-            "edits": [e.to_dict() for e in self.edits],
-            "safety": self.safety.value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Fix":
-        return cls(
-            description=str(d["description"]),
-            edits=tuple(TextEdit.from_dict(e) for e in d["edits"]),
-            safety=FixSafety(d["safety"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -130,17 +46,10 @@ class Finding:
     col: int
     #: severity level of the rule that fired
     severity: Severity = Severity.ERROR
-    #: machine-applicable repair, when the rule knows one
-    fix: Fix | None = field(default=None, compare=True)
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation (used by the ``--format json`` reporter).
-
-        The ``fix`` key is emitted only when a fix is attached, so findings
-        without one keep the exact pre-autofix schema (pinned by the golden
-        reporter tests).
-        """
-        d: dict[str, Any] = {
+        """JSON-ready representation (used by the ``--format json`` reporter)."""
+        return {
             "code": self.code,
             "name": self.name,
             "message": self.message,
@@ -149,9 +58,6 @@ class Finding:
             "col": self.col,
             "severity": self.severity.value,
         }
-        if self.fix is not None:
-            d["fix"] = self.fix.to_dict()
-        return d
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "Finding":
@@ -164,7 +70,6 @@ class Finding:
             line=d["line"],
             col=d["col"],
             severity=Severity(d["severity"]),
-            fix=Fix.from_dict(d["fix"]) if d.get("fix") is not None else None,
         )
 
     def location(self) -> str:

@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
 from repro.analysis.context import FileContext
-from repro.analysis.findings import Finding, Fix, Severity
+from repro.analysis.findings import Finding, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.dataflow.project import ProjectContext
@@ -51,7 +51,6 @@ class Rule(ABC):
         ctx: FileContext,
         node: ast.AST,
         message: str,
-        fix: Fix | None = None,
     ) -> Finding:
         return Finding(
             code=self.code,
@@ -61,7 +60,6 @@ class Rule(ABC):
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             severity=self.severity,
-            fix=fix,
         )
 
 
@@ -89,7 +87,6 @@ class ProjectRule(Rule):
         line: int,
         col: int,
         message: str,
-        fix: Fix | None = None,
     ) -> Finding:
         """Construct a finding at an explicit location (no AST node)."""
         return Finding(
@@ -100,7 +97,6 @@ class ProjectRule(Rule):
             line=line,
             col=col,
             severity=self.severity,
-            fix=fix,
         )
 
 

@@ -386,7 +386,6 @@ def _stale_findings(
 
     rule = StaleSuppressionRule()
     known = set(all_rules())
-    lines: list[str] | None = None
     out: list[Finding] = []
     for line, codes in sorted(analysis.markers.items()):
         for code in sorted(codes):
@@ -400,21 +399,7 @@ def _stale_findings(
                 is_known = True
             else:
                 continue
-            if lines is None:
-                # read the file once, lazily: cached analyses carry no
-                # source, and stale markers are the rare case
-                try:
-                    lines = Path(analysis.path).read_text(
-                        encoding="utf-8"
-                    ).splitlines()
-                except OSError:
-                    lines = []
-            text = lines[line - 1] if 0 < line <= len(lines) else None
-            out.append(
-                rule.stale_finding(
-                    analysis.path, line, code, known=is_known, line_text=text
-                )
-            )
+            out.append(rule.stale_finding(analysis.path, line, code, known=is_known))
     return out
 
 

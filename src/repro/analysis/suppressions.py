@@ -1,14 +1,14 @@
 """Inline suppression comments: ``# repro: noqa[CODE]``.
 
 A finding on line *n* is suppressed when line *n* carries a marker naming
-its code (``# repro: noqa[R003]``, multiple codes comma-separated:
-``# repro: noqa[R003,R007]``) or a blanket marker (``# repro: noqa``).
+its code (``# repro: noqa[R001]``, multiple codes comma-separated:
+``# repro: noqa[R001,R101]``) or a blanket marker (``# repro: noqa``).
 Matching is case-insensitive in the codes and tolerant of spaces.
 
 The project convention (enforced socially, not mechanically) is that every
 in-tree suppression carries a trailing justification, e.g.::
 
-    if ms == 0.0:  # repro: noqa[R003] - exact-zero sentinel for empty ETC
+    np.random.seed(0)  # repro: noqa[R001] - reproduces a legacy script
 
 Standard ``# noqa`` comments are *not* honoured — the marker is namespaced
 on purpose so this layer never fights with flake8/ruff semantics.
@@ -19,15 +19,11 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from collections.abc import Iterable
-
-from repro.analysis.findings import Finding
 
 __all__ = [
     "suppressed_codes",
     "collect_markers",
     "collect_comment_markers",
-    "filter_suppressed",
 ]
 
 _NOQA = re.compile(
@@ -81,23 +77,3 @@ def collect_comment_markers(source: str) -> dict[int, frozenset[str]]:
             line = tok.start[0]
             markers[line] = markers.get(line, frozenset()) | codes
     return markers
-
-
-def filter_suppressed(
-    findings: Iterable[Finding], lines: list[str]
-) -> tuple[list[Finding], int]:
-    """Drop findings whose source line suppresses their code.
-
-    Returns ``(kept, n_suppressed)`` so reporters can surface how many
-    violations were waived.
-    """
-    kept: list[Finding] = []
-    n_suppressed = 0
-    for f in findings:
-        line = lines[f.line - 1] if 0 < f.line <= len(lines) else ""
-        codes = suppressed_codes(line)
-        if codes and ("*" in codes or f.code.upper() in codes):
-            n_suppressed += 1
-        else:
-            kept.append(f)
-    return kept, n_suppressed

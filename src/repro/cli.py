@@ -184,28 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the runtime numeric sanitizer's self-check and exit",
     )
-    pl.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply safe fixes in place, re-linting until no fix applies",
-    )
-    pl.add_argument(
-        "--diff",
-        action="store_true",
-        help="with --fix: preview one fix pass as a unified diff without "
-        "writing any file",
-    )
-    pl.add_argument(
-        "--fix-dry-run",
-        action="store_true",
-        help="summarize the fixes one pass would apply without writing",
-    )
-    pl.add_argument(
-        "--fix-suggested",
-        action="store_true",
-        help="also apply fixes classed 'suggested' (semantics-adjacent "
-        "scaffolds such as re-raise insertion)",
-    )
 
     ps = sub.add_parser(
         "serve",
@@ -524,7 +502,7 @@ def _cmd_lint(args) -> int:
         print(format_table(["code", "name", "severity", "description"], rows))
         return 0
     if args.sanitize_check:
-        from repro.analysis.sanitize import sanitizer_selfcheck
+        from repro.engine.sanitize import sanitizer_selfcheck
 
         results = sanitizer_selfcheck()
         for name, ok, detail in results:
@@ -532,31 +510,6 @@ def _cmd_lint(args) -> int:
         n_bad = sum(1 for _, ok, _ in results if not ok)
         print(f"{len(results) - n_bad}/{len(results)} sanitizer checks passed")
         return 0 if n_bad == 0 else 1
-
-    fix_mode = args.fix or args.fix_dry_run
-    if args.diff and not args.fix:
-        print("repro lint: --diff requires --fix", file=sys.stderr)
-        return 2
-    if args.fix and args.fix_dry_run:
-        print(
-            "repro lint: --fix and --fix-dry-run are mutually exclusive "
-            "(--fix --diff previews without writing)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.fix_suggested and not fix_mode:
-        print(
-            "repro lint: --fix-suggested requires --fix or --fix-dry-run",
-            file=sys.stderr,
-        )
-        return 2
-    if fix_mode and args.format == "json":
-        print(
-            "repro lint: --fix/--fix-dry-run emit text output only; "
-            "drop --format json",
-            file=sys.stderr,
-        )
-        return 2
 
     paths = list(args.paths)
     if args.changed is not None:
@@ -637,49 +590,13 @@ def _cmd_lint(args) -> int:
         store = SummaryStore(args.cache_file) if args.cache_file else SummaryStore()
         cache = store
     try:
-        if fix_mode:
-            from repro.analysis import fix_paths
-
-            write = args.fix and not args.diff
-            report, outcome = fix_paths(
-                paths,
-                select=select,
-                exclude=args.exclude,
-                cache=cache,
-                include_suggested=args.fix_suggested,
-                write=write,
-            )
-        else:
-            report = lint_paths(
-                paths, select=select, exclude=args.exclude, cache=cache
-            )
+        report = lint_paths(paths, select=select, exclude=args.exclude, cache=cache)
     except KeyError as err:
         print(f"repro lint: unknown rule code {err.args[0]!r}", file=sys.stderr)
         return 2
     except FileNotFoundError as err:
         print(f"repro lint: no such path: {err.args[0]}", file=sys.stderr)
         return 2
-    if fix_mode:
-        if args.diff:
-            diff = outcome.diff()
-            if diff:
-                print(diff, end="" if diff.endswith("\n") else "\n")
-        label = "fixed" if write else "would fix"
-        parts = [
-            f"{label} {outcome.n_applied} finding(s) "
-            f"in {outcome.n_files_changed} file(s)"
-        ]
-        if outcome.n_skipped_suggested:
-            parts.append(
-                f"{outcome.n_skipped_suggested} suggested fix(es) withheld "
-                "(--fix-suggested applies them)"
-            )
-        if outcome.reparse_failures:
-            parts.append(
-                f"{len(outcome.reparse_failures)} file(s) reverted "
-                "(patched text failed to parse)"
-            )
-        print("; ".join(parts))
     render = render_json if args.format == "json" else render_text
     print(
         render(

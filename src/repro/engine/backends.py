@@ -147,7 +147,7 @@ class ProcessPoolBackend(ExecutionBackend):
         for proc in processes.values():
             try:
                 proc.terminate()
-            except Exception:  # pragma: no cover  # repro: noqa[R007] - best-effort teardown of a dead process
+            except Exception:  # pragma: no cover - best-effort teardown of a dead process
                 pass
 
 

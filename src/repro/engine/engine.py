@@ -351,7 +351,7 @@ class RobustnessEngine:
             store if isinstance(store, RadiusStore) or store is None else RadiusStore(store)
         )
         #: when True, every evaluation is audited by
-        #: :mod:`repro.analysis.sanitize`: NaN/inconsistent radii raise
+        #: :mod:`repro.engine.sanitize`: NaN/inconsistent radii raise
         #: :class:`~repro.exceptions.SanitizerError` (or become
         #: ``stage="sanitize"`` failure records under ``on_error="record"`` /
         #: ``"degrade"``).  Healthy results are bit-for-bit unaffected.
@@ -402,7 +402,7 @@ class RobustnessEngine:
                 f"(radius {values[bad]:g} < 0)"
             )
         if self.sanitize:
-            from repro.analysis.sanitize import check_allocation_batch
+            from repro.engine.sanitize import check_allocation_batch
 
             check_allocation_batch(radii, values)
         return AllocationBatchResult(
@@ -496,7 +496,7 @@ class RobustnessEngine:
             slacks = (1.0 - rows.values / limits).min(axis=1)
 
         if self.sanitize:
-            from repro.analysis.sanitize import check_hiperd_batch
+            from repro.engine.sanitize import check_hiperd_batch
 
             # slacks are excluded: inf/NaN slack is legitimate on zero limits
             check_hiperd_batch(rows.raw, rows.radii)
@@ -747,7 +747,7 @@ class RobustnessEngine:
             results=metrics, failures=annotated, on_error=on_error
         )
         if self.sanitize:
-            from repro.analysis.sanitize import sanitize_batch
+            from repro.engine.sanitize import sanitize_batch
 
             batch = sanitize_batch(batch)
         return batch

@@ -182,7 +182,7 @@ class FailureRecord:
     exception or retryable non-convergence), ``"timeout"`` (per-task
     deadline overrun), ``"crash"`` (worker process died), ``"pickle"``
     (task arguments would not cross the process boundary), or
-    ``"sanitize"`` (a :mod:`repro.analysis.sanitize` post-condition failed
+    ``"sanitize"`` (a :mod:`repro.engine.sanitize` post-condition failed
     on an engine constructed with ``sanitize=True``).  ``fallback_used``
     marks records whose task ultimately produced a Monte-Carlo *bound*
     instead of an exact radius (``on_error="degrade"``).
@@ -382,7 +382,7 @@ def _picklable_one(obj: object) -> bool:
     try:
         pickle.dumps(obj)
         return True
-    except Exception:  # repro: noqa[R007] - probe: any failure means "not picklable"
+    except Exception:  # probe: any failure means "not picklable"
         return False
 
 

@@ -110,7 +110,7 @@ class WorkerCrashError(ReproError):
 class SanitizerError(ReproError):
     """A runtime numeric post-condition failed inside a sanitized computation.
 
-    Raised by :mod:`repro.analysis.sanitize` when a radius computation
+    Raised by :mod:`repro.engine.sanitize` when a radius computation
     produces a silently-invalid result: a NaN radius on a converged solve, a
     negative radius at a feasible origin, or a metric that disagrees with the
     minimum of its own per-feature radii.  Under ``on_error="record"`` /

@@ -52,7 +52,7 @@ def _power_impact(coeff: np.ndarray, exps: np.ndarray, name: str) -> CallableImp
                 a ** (exps - 1.0),
                 # exps holds caller-specified exponents, so the linear case
                 # really is the exact literal 1.0, not a computed value
-                np.where(exps == 1.0, 1.0, 0.0),  # repro: noqa[R003]
+                np.where(exps == 1.0, 1.0, 0.0),
             )
         return coeff * exps * base * np.where(lam >= 0, 1.0, -1.0)
 
@@ -139,7 +139,7 @@ def power_law_analysis(
                         a_ > 0,
                         a_ ** (exps[a] - 1.0),
                         # same exact-literal dispatch as _power_impact above
-                        np.where(exps[a] == 1.0, 1.0, 0.0),  # repro: noqa[R003]
+                        np.where(exps[a] == 1.0, 1.0, 0.0),
                     )
                 g = g + comp[a] * exps[a] * base
             return g * np.where(lam >= 0, 1.0, -1.0)

@@ -149,7 +149,7 @@ def robustness(
             require_feasible=require_feasible,
             norm=norm,
             config=config,
-            solver_options=solver_options,  # repro: noqa[R009] - shim forwards to the validating resolver
+            solver_options=solver_options,  # shim forwards to the validating resolver
         )
 
 

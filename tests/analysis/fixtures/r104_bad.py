@@ -1,8 +1,8 @@
 """R104 fixture: failure paths that complete without a FailureRecord when
 ``on_error="record"`` (2 findings).
 
-The catches are deliberately *narrow* (SolverError / TimeoutError) so the
-syntactic broad-except rule R007 stays silent — losing a narrow, expected
+The catches are deliberately *narrow* (SolverError / TimeoutError): a
+generic broad-except check would stay silent — losing a narrow, expected
 failure is exactly what only the interprocedural view flags.
 """
 

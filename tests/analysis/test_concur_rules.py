@@ -1,5 +1,5 @@
-"""Targeted behaviour tests for the concurrency rules (R110-R114), beyond
-the fixture counts in ``test_rules.py``.
+"""Targeted behaviour tests for the concurrency rules (R110, R111, R113,
+R114), beyond the fixture counts in ``test_rules.py``.
 
 Each class covers one rule: the hazard shape, the interprocedural variant
 where the family sees across call boundaries, and the negative shapes a
@@ -173,98 +173,6 @@ class TestR111AwaitStraddle:
             "        pool.submit(tally, k)\n"
         )
         assert _codes(src, ["R111"]) == []
-
-
-class TestR112LockOrderCycle:
-    def test_opposite_orders_flagged_at_both_sites(self):
-        src = (
-            "import threading\n\n"
-            "LOCK_A = threading.Lock()\n"
-            "LOCK_B = threading.Lock()\n\n"
-            "def f():\n"
-            "    with LOCK_A:\n"
-            "        with LOCK_B:\n"
-            "            pass\n\n"
-            "def g():\n"
-            "    with LOCK_B:\n"
-            "        with LOCK_A:\n"
-            "            pass\n"
-        )
-        assert _codes(src, ["R112"]) == ["R112", "R112"]
-
-    def test_consistent_order_clean(self):
-        src = (
-            "import threading\n\n"
-            "LOCK_A = threading.Lock()\n"
-            "LOCK_B = threading.Lock()\n\n"
-            "def f():\n"
-            "    with LOCK_A:\n"
-            "        with LOCK_B:\n"
-            "            pass\n\n"
-            "def g():\n"
-            "    with LOCK_A:\n"
-            "        with LOCK_B:\n"
-            "            pass\n"
-        )
-        assert _codes(src, ["R112"]) == []
-
-    def test_cycle_through_a_callee(self):
-        """Interprocedural: f holds A and calls g, which takes B; h does
-        the reverse through a helper."""
-        src = (
-            "import threading\n\n"
-            "LOCK_A = threading.Lock()\n"
-            "LOCK_B = threading.Lock()\n\n"
-            "def take_b():\n"
-            "    with LOCK_B:\n"
-            "        pass\n\n"
-            "def take_a():\n"
-            "    with LOCK_A:\n"
-            "        pass\n\n"
-            "def f():\n"
-            "    with LOCK_A:\n"
-            "        take_b()\n\n"
-            "def g():\n"
-            "    with LOCK_B:\n"
-            "        take_a()\n"
-        )
-        assert _codes(src, ["R112"]) == ["R112", "R112"]
-
-    def test_self_reacquisition_flagged(self):
-        src = (
-            "import threading\n\n"
-            "LOCK_A = threading.Lock()\n\n"
-            "def f():\n"
-            "    with LOCK_A:\n"
-            "        with LOCK_A:\n"
-            "            pass\n"
-        )
-        assert _codes(src, ["R112"]) == ["R112"]
-
-    def test_rlock_reacquisition_clean(self):
-        src = (
-            "import threading\n\n"
-            "RLOCK = threading.RLock()\n\n"
-            "def f():\n"
-            "    with RLOCK:\n"
-            "        with RLOCK:\n"
-            "            pass\n"
-        )
-        assert _codes(src, ["R112"]) == []
-
-    def test_multi_item_with_orders_left_to_right(self):
-        src = (
-            "import threading\n\n"
-            "LOCK_A = threading.Lock()\n"
-            "LOCK_B = threading.Lock()\n\n"
-            "def f():\n"
-            "    with LOCK_A, LOCK_B:\n"
-            "        pass\n\n"
-            "def g():\n"
-            "    with LOCK_B, LOCK_A:\n"
-            "        pass\n"
-        )
-        assert _codes(src, ["R112"]) == ["R112", "R112"]
 
 
 class TestR113FireAndForget:

@@ -343,35 +343,35 @@ class TestIncrementalLint:
         fp = _fingerprint()
         assert fp.startswith(f"v{CACHE_VERSION}:")
         assert CACHE_VERSION >= 3
-        for code in ("R110", "R111", "R112", "R113", "R114"):
+        for code in ("R110", "R111", "R113", "R114"):
             assert code in fp
 
-    def test_fingerprint_covers_perf_rules_and_v4_schema(self):
+    def test_fingerprint_drops_retired_rules_and_v6_schema(self):
         from repro.analysis.runner import _fingerprint
 
         fp = _fingerprint()
         assert fp.startswith(f"v{CACHE_VERSION}:")
-        assert CACHE_VERSION >= 4
-        for code in ("R120", "R121", "R122", "R123", "R124"):
-            assert code in fp
+        assert CACHE_VERSION >= 6
+        for code in ("R003", "R007", "R009", "R112", "R120", "R124"):
+            assert code not in fp
 
-    def test_v3_store_discarded_under_v4_schema(self, tmp_path, monkeypatch):
-        """A store written under the v3 (pre-perf-facts) schema must be
-        discarded wholesale: its summaries lack the ndarray/loop facts and
-        would silently produce no R120-R124 findings."""
+    def test_v5_store_discarded_under_v6_schema(self, tmp_path, monkeypatch):
+        """A store written under the v5 schema must be discarded wholesale:
+        its summaries carry the retired performance facts and its raw
+        findings may hold codes of retired rules."""
         import repro.analysis.runner as runner_mod
         from repro.analysis.runner import _fingerprint
 
         pkg = self._tree(tmp_path)
         cache_file = tmp_path / "cache.json"
-        v3 = "v3:" + _fingerprint().split(":", 1)[1]
-        monkeypatch.setattr(runner_mod, "_fingerprint", lambda: v3)
+        v5 = "v5:" + _fingerprint().split(":", 1)[1]
+        monkeypatch.setattr(runner_mod, "_fingerprint", lambda: v5)
         stale = lint_paths([pkg], cache=SummaryStore(cache_file))
         assert stale.n_reanalyzed == 2
 
         monkeypatch.undo()
         warm = lint_paths([pkg], cache=SummaryStore(cache_file))
-        assert warm.n_reanalyzed == 2  # nothing trusted from the v3 store
+        assert warm.n_reanalyzed == 2  # nothing trusted from the v5 store
         assert warm.files_cached == 0
 
     def test_select_bypasses_cache(self, tmp_path):

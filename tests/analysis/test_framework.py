@@ -32,17 +32,15 @@ from repro.analysis.runner import (
 
 class TestRegistry:
     def test_registered_rule_codes(self):
-        assert len(all_rules()) >= 24
-        expected = [f"R00{i}" for i in range(1, 10)]
-        expected += [f"R10{i}" for i in range(1, 5)]
-        expected += [f"R11{i}" for i in range(5)]
-        expected += [f"R12{i}" for i in range(5)]
+        expected = ["R001", "R002", "R004", "R005", "R006", "R008"]
+        expected += ["R101", "R102", "R103", "R104"]
+        expected += ["R110", "R111", "R113", "R114"]
         expected += ["W000"]
         assert sorted(all_rules()) == sorted(expected)
 
     def test_select_subset(self):
-        rules = get_rules(["R001", "r003"])  # case-insensitive
-        assert [r.code for r in rules] == ["R001", "R003"]
+        rules = get_rules(["R001", "r004"])  # case-insensitive
+        assert [r.code for r in rules] == ["R001", "R004"]
 
     def test_unknown_code_raises_keyerror(self):
         with pytest.raises(KeyError):

@@ -20,27 +20,18 @@ FIXTURES = Path(__file__).parent / "fixtures"
 EXPECTED_BAD = {
     "R001": 3,
     "R002": 2,
-    "R003": 3,
     "R004": 4,
     "R005": 2,
     "R006": 4,
-    "R007": 3,
     "R008": 2,
-    "R009": 2,
     "R101": 3,
     "R102": 3,
     "R103": 5,
     "R104": 2,
     "R110": 2,
     "R111": 2,
-    "R112": 2,
     "R113": 2,
     "R114": 2,
-    "R120": 3,
-    "R121": 2,
-    "R122": 2,
-    "R123": 2,
-    "R124": 2,
     "W000": 2,
 }
 
@@ -124,25 +115,6 @@ class TestRuleEdgeCases:
         src = "import numpy as np\nrng = np.random.default_rng(seed=3)\n"
         assert lint_source(src, is_test=False, select=["R002"]).clean
 
-    def test_r003_zero_literal_exempt_without_token(self):
-        assert lint_source(
-            "def f(denom):\n    return denom == 0.0\n",
-            is_test=False,
-            select=["R003"],
-        ).clean
-
-    def test_r003_token_beats_zero_exemption(self):
-        report = lint_source(
-            "def f(radius):\n    return radius == 0.0\n",
-            is_test=False,
-            select=["R003"],
-        )
-        assert len(report.findings) == 1
-
-    def test_r003_exempt_in_tests(self):
-        src = "def f(makespan):\n    assert makespan == 7.5\n"
-        assert lint_source(src, path="tests/test_x.py", select=["R003"]).clean
-
     def test_r004_module_level_name_ok(self):
         src = (
             "def worker(t):\n    return t\n\n"
@@ -188,16 +160,6 @@ class TestRuleEdgeCases:
             "    return pi\n"
         )
         assert len(lint_source(src, is_test=False, select=["R006"]).findings) == 1
-
-    def test_r007_using_bound_exception_is_clean(self):
-        src = (
-            "def f(task, log):\n"
-            "    try:\n"
-            "        return task()\n"
-            "    except Exception as exc:\n"
-            "        log(exc)\n"
-        )
-        assert lint_source(src, is_test=False, select=["R007"]).clean
 
     def test_r008_post_init_is_clean(self):
         src = (

@@ -209,7 +209,7 @@ class TestMetricsWiring:
         assert _counter_value("repro_engine_evaluations_total", kind="allocation") == 1.0
 
     def test_sanitizer_fp_events_counted(self):
-        from repro.analysis.sanitize import Sanitizer
+        from repro.engine.sanitize import Sanitizer
 
         with obs.observed():
             with Sanitizer(on_violation="collect") as s:

@@ -158,9 +158,9 @@ class TestLintExitCodes:
     def test_select_narrows_rules(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import numpy as np\n\ndef f():\n    np.random.seed(0)\n")
-        assert main(["lint", "--select", "R003", str(bad)]) == 0
+        assert main(["lint", "--select", "R002", str(bad)]) == 0
         capsys.readouterr()
-        assert main(["lint", "--select", "R001,R003", str(bad)]) == 1
+        assert main(["lint", "--select", "R001,R002", str(bad)]) == 1
 
     def test_no_paths_usage_error(self, capsys):
         assert main(["lint"]) == 2
@@ -186,6 +186,17 @@ class TestLintExitCodes:
         out = capsys.readouterr().out
         for code in ("R001", "R008", "R101", "R104", "W000"):
             assert code in out
+
+    def test_list_rules_prints_exactly_the_kept_codes(self, capsys):
+        assert main(["lint", "--list-rules"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        codes = [row.split("|", 1)[0].strip() for row in rows if row.strip()]
+        assert codes == [
+            "R001", "R002", "R004", "R005", "R006", "R008",
+            "R101", "R102", "R103", "R104",
+            "R110", "R111", "R113", "R114",
+            "W000",
+        ]
 
 
 class TestLintFlags:
