@@ -21,13 +21,12 @@ corrupt or unreadable store degrades to an empty cache, never to an error.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from pathlib import Path
 from typing import Any
 
 from repro.analysis.dataflow.summaries import ModuleSummary
 from repro.analysis.findings import Finding
+from repro.utils.serialization import load_document, save_document
 
 __all__ = ["SummaryStore", "CACHE_VERSION", "DEFAULT_CACHE_PATH", "content_hash"]
 
@@ -68,34 +67,13 @@ class SummaryStore:
         """Read the store from disk, discarding it on any mismatch."""
         self._loaded = True
         self._fingerprint = fingerprint
-        try:
-            doc = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            self._entries = {}
-            return
-        if (
-            not isinstance(doc, dict)
-            or doc.get("fingerprint") != fingerprint
-            or not isinstance(doc.get("entries"), dict)
-        ):
-            self._entries = {}
-            self._dirty = True
-            return
-        self._entries = doc["entries"]
+        self._entries, discarded = load_document(self.path, fingerprint)
+        self._dirty = self._dirty or discarded
 
     def save(self) -> None:
         """Atomically persist the store (no-op when nothing changed)."""
-        if not self._dirty:
-            return
-        doc = {"fingerprint": self._fingerprint, "entries": self._entries}
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        try:
-            tmp.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(doc), encoding="utf-8")
-            os.replace(tmp, self.path)
-        except OSError:
-            return
-        self._dirty = False
+        if self._dirty and save_document(self.path, self._fingerprint, self._entries):
+            self._dirty = False
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -19,8 +19,8 @@ Every function accepts the same orthogonal keywords:
   :class:`~repro.engine.backends.ExecutionBackend` class or instance, or
   None for the default resolution (``REPRO_BACKEND`` env var, then the
   ``pool_size`` heuristic);
-- ``store=`` — optional persistent solve store (path or
-  :class:`~repro.engine.store.RadiusStore`).
+- ``store=`` — optional path of the radius cache's disk tier, so numeric
+  solves persist across processes (see :mod:`repro.engine.cache`).
 
 The facade is a thin veneer: each call builds a
 :class:`~repro.engine.RobustnessEngine` and delegates, so results are
@@ -46,6 +46,7 @@ see ``docs/SERVE.md``.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -65,7 +66,6 @@ from repro.engine.engine import (
     RobustnessEngine,
 )
 from repro.engine.fault import RetryPolicy
-from repro.engine.store import RadiusStore
 from repro.exceptions import ValidationError
 from repro.faults.schedule import PerturbationSchedule
 from repro.hiperd.model import HiperDSystem
@@ -90,7 +90,6 @@ __all__ = [
     "AllocationBatchResult",
     "HiperdBatchResult",
     "SolverConfig",
-    "RadiusStore",
     "RetryPolicy",
 ]
 
@@ -102,7 +101,7 @@ def _engine(
     norm: Norm | str | None,
     config: SolverConfig | None,
     backend: BackendLike = None,
-    store: "RadiusStore | str | None" = None,
+    store: "str | os.PathLike | None" = None,
     sanitize: bool = False,
 ) -> RobustnessEngine:
     """One-shot engine with the facade's keyword set."""
@@ -118,7 +117,7 @@ def evaluate(
     norm: Norm | str | None = None,
     config: SolverConfig | None = None,
     backend: BackendLike = None,
-    store: "RadiusStore | str | None" = None,
+    store: "str | os.PathLike | None" = None,
     apply_floor: bool | None = None,
     require_feasible: bool = False,
     on_error: str = "raise",
@@ -141,7 +140,7 @@ def evaluate_population(
     norm: Norm | str | None = None,
     config: SolverConfig | None = None,
     backend: BackendLike = None,
-    store: "RadiusStore | str | None" = None,
+    store: "str | os.PathLike | None" = None,
     chunk_size: int | None = None,
     apply_floor: bool | None = None,
     require_feasible: bool = False,
@@ -180,7 +179,7 @@ def evaluate_stream(
     norm: Norm | str | None = None,
     config: SolverConfig | None = None,
     backend: BackendLike = None,
-    store: "RadiusStore | str | None" = None,
+    store: "str | os.PathLike | None" = None,
     chunk_size: int = 256,
     apply_floor: bool | None = None,
     require_feasible: bool = False,
@@ -211,7 +210,7 @@ def evaluate_allocation(
     norm: Norm | str | None = None,
     config: SolverConfig | None = None,
     backend: BackendLike = None,
-    store: "RadiusStore | str | None" = None,
+    store: "str | os.PathLike | None" = None,
     require_feasible: bool = False,
 ) -> AllocationBatchResult:
     """Eq. 6/7 (independent-task allocation) for a population of mappings.
@@ -232,7 +231,7 @@ def evaluate_hiperd(
     norm: Norm | str | None = None,
     config: SolverConfig | None = None,
     backend: BackendLike = None,
-    store: "RadiusStore | str | None" = None,
+    store: "str | os.PathLike | None" = None,
     apply_floor: bool = True,
     require_feasible: bool = False,
 ) -> HiperdBatchResult:
@@ -294,7 +293,7 @@ def robustness_curve(
     norm: Norm | str | None = None,
     config: SolverConfig | None = None,
     backend: BackendLike = None,
-    store: "RadiusStore | str | None" = None,
+    store: "str | os.PathLike | None" = None,
 ) -> RobustnessCurve:
     """Sweep the allocation metric over a set of tolerance factors.
 

@@ -2,16 +2,15 @@
 
 :class:`RobustnessEngine` evaluates the paper's robustness metric for whole
 populations of mappings in one call — vectorized closed forms for the affine
-systems (allocation Eq. 6, HiPer-D Eqs. 10-11), an LRU solve cache (plus an
-optional persistent :class:`~repro.engine.store.RadiusStore` tier) and a
-pluggable execution backend for non-affine impacts.  Batched results are
+systems (allocation Eq. 6, HiPer-D Eqs. 10-11), an LRU solve cache (with an
+optional on-disk tier, the engine's ``store=`` path) and a pluggable
+execution backend for non-affine impacts.  Batched results are
 bit-for-bit identical to the per-mapping scalar API.
 
 See :mod:`repro.engine.engine` for the evaluator,
 :mod:`repro.engine.backends` for the execution-backend protocol
 (serial / process),
-:mod:`repro.engine.cache` for the in-memory solve cache,
-:mod:`repro.engine.store` for the persistent solve store and
+:mod:`repro.engine.cache` for the solve cache and its disk tier and
 :mod:`repro.engine.fault` for the fault-isolated scheduler
 (retries, per-task timeouts, crash attribution, failure records).
 """
@@ -37,7 +36,6 @@ from repro.engine.fault import (
     RetryPolicy,
     solve_radius_tasks_isolated,
 )
-from repro.engine.store import RadiusStore
 
 __all__ = [
     "AllocationBatchResult",
@@ -45,7 +43,6 @@ __all__ = [
     "HiperdBatchResult",
     "RobustnessEngine",
     "RadiusCache",
-    "RadiusStore",
     "norm_cache_key",
     "solve_radius_tasks_isolated",
     "RetryPolicy",

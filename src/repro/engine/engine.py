@@ -15,8 +15,8 @@ quantities for the whole population at once:
   constraints, boundary loads, feasibility *and* the Section-4.3 slack read
   off the same pass;
 - **generic FePIA** — affine features through the scalar closed form,
-  non-affine features through an LRU solve cache
-  (:class:`~repro.engine.cache.RadiusCache`) and an execution backend
+  non-affine features through an LRU solve cache with an optional disk
+  tier (:class:`~repro.engine.cache.RadiusCache`) and an execution backend
   (:mod:`repro.engine.backends`, serial by default).
 
 Batched results are bit-for-bit identical to the per-mapping scalar path
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 from dataclasses import dataclass
@@ -59,7 +60,6 @@ from repro.engine.fault import (
     check_on_error,
     solve_radius_tasks_isolated,
 )
-from repro.engine.store import RadiusStore, key_digest, persistable_key
 from repro.exceptions import InfeasibleAtOriginError, ValidationError
 from repro.hiperd.constraints import assignment_matrix, build_constraints
 from repro.obs import metrics as obs_metrics
@@ -333,23 +333,19 @@ class RobustnessEngine:
         solver_options: dict | None = None,
         sanitize: bool = False,
         backend: "str | ExecutionBackend | type[ExecutionBackend] | BackendSpec | None" = None,
-        store: "RadiusStore | str | None" = None,
+        store: "str | os.PathLike | None" = None,
     ) -> None:
         self.config = resolve_config(config, solver_options)
         self.norm = get_norm(norm)
-        self.cache = RadiusCache(self.config.cache_size)
+        #: numeric solve cache; ``store`` is the optional path of its disk
+        #: tier, probed after memory, written with converged value-keyed
+        #: solves and saved after each population evaluation
+        self.cache = RadiusCache(self.config.cache_size, path=store)
         #: execution substrate for numeric solves — a registered backend
         #: name, class, instance or spec; None defers to ``REPRO_BACKEND``
         #: and then the legacy ``pool_size`` heuristic (see
         #: :func:`repro.engine.backends.resolve_backend`)
         self.backend = backend
-        #: optional persistent solve store (path or
-        #: :class:`~repro.engine.store.RadiusStore`); probed after the LRU
-        #: tier, written with converged value-keyed solves, saved after each
-        #: population evaluation
-        self.store: RadiusStore | None = (
-            store if isinstance(store, RadiusStore) or store is None else RadiusStore(store)
-        )
         #: when True, every evaluation is audited by
         #: :mod:`repro.engine.sanitize`: NaN/inconsistent radii raise
         #: :class:`~repro.exceptions.SanitizerError` (or become
@@ -696,12 +692,6 @@ class RobustnessEngine:
                     )
                 key = self.cache.key_for(f, param, self.norm, self.config)
                 cached = self.cache.get(key)
-                if cached is None and self.store is not None and persistable_key(key):
-                    stored = self.store.get(key_digest(key))
-                    if stored is not None:
-                        # promote the persistent hit into the LRU tier
-                        self.cache.put(key, stored, pin=(f.impact,))
-                        cached = stored
                 if cached is not None:
                     row.append(
                         dataclasses.replace(
@@ -724,17 +714,14 @@ class RobustnessEngine:
             backend=self.backend,
         )
 
-        # Pass 3: fill slots, populate the cache tiers, assemble the metrics.
+        # Pass 3: fill slots, populate the cache, assemble the metrics.
         # Only converged solves are cached: placeholders, Monte-Carlo bounds
         # and uncertified results must not shadow a future exact solve.
         for (ip, islot, key), res, task in zip(task_where, solved, tasks):
             slots[ip][islot] = res
             if res.converged:
                 self.cache.put(key, res, pin=(task[0].impact,))
-                if self.store is not None and persistable_key(key):
-                    self.store.put(key_digest(key), res)
-        if self.store is not None:
-            self.store.save()
+        self.cache.save()
         metrics = tuple(
             metric_from_radii(tuple(row), param, apply_floor=apply_floor)
             for row, (_, param) in zip(slots, problems)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import api
+from repro import api, obs
 from repro.alloc.generators import random_assignments
 from repro.alloc.mapping import Mapping
 from repro.core.config import SolverConfig
@@ -100,14 +100,22 @@ class TestFacadeDelegation:
         assert np.array_equal(curve.values[1], default.values)
 
     def test_store_keyword_populates(self, tmp_path):
-        from repro.engine import RadiusStore
-
-        store = RadiusStore(tmp_path / "radius.json")
+        path = tmp_path / "radius.json"
         config = SolverConfig(solver="numeric", n_starts=1, seed=1)
-        api.evaluate_population(
-            [_affine_problem(i) for i in range(3)], config=config, store=store
-        )
-        assert len(store) == 3
+        problems = [_affine_problem(i) for i in range(3)]
+        cold = api.evaluate_population(problems, config=config, store=path)
+        assert path.exists()
+        obs.reset_metrics()
+        try:
+            with obs.observed():
+                warm = api.evaluate_population(problems, config=config, store=path)
+            events = obs.get_registry().to_json()["repro_cache_events_total"]
+        finally:
+            obs.reset_metrics()
+        assert [(c["labels"], c["value"]) for c in events["children"]] == [
+            ({"event": "hit"}, 3.0)
+        ]
+        assert [m.value for m in warm] == [m.value for m in cold]
 
 
 class TestStreaming:

@@ -17,10 +17,13 @@ from hypothesis import strategies as st
 
 from repro.alloc.generators import random_assignments, random_mapping
 from repro.alloc.robustness import batch_robustness, robustness
+from repro.core.config import SolverConfig
 from repro.core.features import FeatureBounds, FeatureSet, PerformanceFeature
 from repro.core.impact import AffineImpact
 from repro.core.metric import robustness_metric
+from repro.core.norms import L2Norm, WeightedL2Norm
 from repro.core.perturbation import PerturbationParameter
+from repro.engine.cache import RadiusCache, _key_digest
 from repro.etcgen import cvb_etc_matrix
 from repro.hiperd.generators import generate_system, random_hiperd_mappings
 from repro.hiperd.model import HiperDSystem
@@ -261,3 +264,58 @@ class TestRadiusInvariants:
             assert [r.radius for r in result.radii] == [
                 r.radius for r in scalar.radii
             ]
+
+
+# Small value sets, so a drawn pair is often equal in some fields and the
+# property sees both sides.  No negative zero: key_for compares floats by
+# value (0.0 == -0.0) while the digest hashes their bits, and both are right
+# because the solve does not depend on the sign of a zero.
+_KEY_FIELDS = {
+    "weights": st.none() | st.tuples(*[st.sampled_from([0.5, 1.0, 2.0])] * 2),
+    "coeffs": st.tuples(*[st.sampled_from([0.5, 1.0, 2.0])] * 2),
+    "intercept": st.sampled_from([0.0, 0.25, 1.0]),
+    "bounds": st.sampled_from([(-np.inf, 3.0), (-np.inf, 4.0), (0.0, 3.0), (0.5, np.inf)]),
+    "origin": st.tuples(*[st.sampled_from([0.1, 0.2, 1.0])] * 2),
+    "config": st.fixed_dictionaries(
+        {
+            "n_starts": st.sampled_from([1, 4]),
+            "seed": st.sampled_from([0, 1, None]),
+            "maxiter": st.sampled_from([100, 200]),
+            "ftol": st.sampled_from([1e-12, 1e-9]),
+        }
+    ),
+}
+
+
+@st.composite
+def _key_input_pairs(draw):
+    """Two solve inputs; the second re-draws one or two fields of the first."""
+    a = draw(st.fixed_dictionaries(_KEY_FIELDS))
+    b = dict(a)
+    for field in draw(st.sets(st.sampled_from(sorted(_KEY_FIELDS)), min_size=1, max_size=2)):
+        b[field] = draw(_KEY_FIELDS[field])
+    return a, b
+
+
+def _cache_key(spec: dict) -> tuple:
+    feature = PerformanceFeature(
+        "phi",
+        AffineImpact(np.array(spec["coeffs"]), intercept=spec["intercept"]),
+        FeatureBounds(*spec["bounds"]),
+    )
+    norm = L2Norm() if spec["weights"] is None else WeightedL2Norm(spec["weights"])
+    param = PerturbationParameter("pi", np.array(spec["origin"]))
+    return RadiusCache().key_for(feature, param, norm, SolverConfig(**spec["config"]))
+
+
+class TestCacheKeyCollision:
+    """Different solve inputs never share a radius-cache key or disk digest;
+    equal inputs always share both."""
+
+    @given(pair=_key_input_pairs())
+    @settings(max_examples=300)
+    def test_key_and_digest_separate_exactly_distinct_inputs(self, pair):
+        a, b = pair
+        ka, kb = _cache_key(a), _cache_key(b)
+        assert (ka == kb) == (a == b)
+        assert (_key_digest(ka) == _key_digest(kb)) == (a == b)

@@ -22,7 +22,6 @@ PUBLIC_MODULES = [
     "repro.engine",
     "repro.engine.backends",
     "repro.engine.cache",
-    "repro.engine.store",
     "repro.etcgen",
     "repro.alloc",
     "repro.alloc.heuristics",
