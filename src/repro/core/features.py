@@ -145,9 +145,19 @@ class FeatureSet:
         pi = np.asarray(pi, dtype=float)
         return np.array([f.value_at(pi) for f in self._features], dtype=float)
 
+    def satisfied_rows(self, points: np.ndarray, *, tol: float = 0.0) -> np.ndarray:
+        """Whether every feature's requirement holds at each row of ``points``
+        (shape ``(k, n)``); each feature is evaluated once, through its batch."""
+        points = np.asarray(points, dtype=float)
+        ok = np.ones(points.shape[0], dtype=bool)
+        for f in self._features:
+            values = f.impact.batch(points)
+            ok &= (f.bounds.lower - tol <= values) & (values <= f.bounds.upper + tol)
+        return ok
+
     def all_satisfied_at(self, pi: np.ndarray, *, tol: float = 0.0) -> bool:
         """True when every feature's requirement holds at ``pi``."""
-        return all(f.satisfied_at(pi, tol=tol) for f in self._features)
+        return bool(self.satisfied_rows(np.asarray(pi, dtype=float)[None, :], tol=tol)[0])
 
     def violations_at(self, pi: np.ndarray, *, tol: float = 0.0) -> list[str]:
         """Names of features whose requirement is violated at ``pi``."""

@@ -47,6 +47,11 @@ class ImpactFunction(ABC):
     def __call__(self, pi: np.ndarray) -> float:
         """Evaluate the feature value at perturbation-parameter value ``pi``."""
 
+    def batch(self, pis: np.ndarray) -> np.ndarray:
+        """Evaluate every row of ``pis`` (shape ``(k, n)``): one call per row
+        here; :class:`AffineImpact` overrides it with one matrix product."""
+        return np.array([self(pi) for pi in np.asarray(pis, dtype=float)], dtype=float)
+
     def gradient(self, pi: np.ndarray) -> np.ndarray | None:
         """Return ``grad f(pi)`` if known analytically, else ``None``.
 
@@ -118,8 +123,10 @@ class AffineImpact(ImpactFunction):
         return float(pi @ self.coefficients + self.intercept)
 
     def batch(self, pis: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over rows of ``pis`` (shape ``(m, n)``)."""
+        """Vectorized evaluation over rows of ``pis`` (shape ``(k, n)``)."""
         pis = np.asarray(pis, dtype=float)
+        if pis.ndim != 2 or pis.shape[1] != self.coefficients.size:
+            raise ValidationError(f"pis has shape {pis.shape}, not (k, {self.coefficients.size})")
         return pis @ self.coefficients + self.intercept
 
     def gradient(self, pi: np.ndarray) -> np.ndarray:

@@ -46,6 +46,11 @@ class Norm(ABC):
     def dual(self, c: np.ndarray) -> float:
         """Return the dual norm ``||c||_*`` (used in hyperplane distances)."""
 
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """Return ``||x_k||`` for every row of ``x``: one call per row here;
+        :class:`L2Norm`, the validators' norm, overrides it with one expression."""
+        return np.array([self(row) for row in np.asarray(x, dtype=float)], dtype=float)
+
     def distance_to_hyperplane(self, c: np.ndarray, d: float, x0: np.ndarray) -> float:
         """Signed distance from ``x0`` to the hyperplane ``{x : c . x = d}``.
 
@@ -90,6 +95,9 @@ class L2Norm(Norm):
 
     def __call__(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(np.asarray(x, dtype=float)))
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
 
     def dual(self, c: np.ndarray) -> float:
         return float(np.linalg.norm(np.asarray(c, dtype=float)))

@@ -2,11 +2,13 @@
 
 The robustness radius has an operational meaning (Section 2): *no*
 perturbation of norm at most ``r`` may push any feature outside its bounds.
-This module provides
+Every sampling check in the library (here, :mod:`repro.faults.validate` and
+:mod:`repro.sim.validate`) draws from one batched sampler —
+:func:`sample_directions`, :func:`sample_ball` and :func:`ray_crossings`,
+which bisects every ray at once.  This module provides
 
-- :func:`estimate_radius_mc` — a sampling estimator of the radius: shoot rays
-  in random directions from ``pi_orig``, bisect each ray for its boundary
-  crossing, and take the minimum crossing distance.  For star-shaped robust
+- :func:`estimate_radius_mc` — a sampling estimator of the radius: the minimum
+  crossing over random directions from ``pi_orig``.  For star-shaped robust
   regions (all convex regions qualify) this converges to the true radius from
   above as the number of directions grows.
 - :func:`validate_radius` — empirical verification that a *claimed* radius is
@@ -21,47 +23,91 @@ sampling.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.features import FeatureSet
-from repro.core.norms import L2Norm, Norm, get_norm
-from repro.exceptions import SolverError, ValidationError
+from repro.core.norms import Norm, get_norm
+from repro.exceptions import ValidationError
 from repro.utils.rng import ensure_rng
 
-__all__ = ["estimate_radius_mc", "validate_radius", "RadiusValidation"]
+__all__ = [
+    "sample_directions",
+    "sample_ball",
+    "ray_crossings",
+    "estimate_radius_mc",
+    "validate_radius",
+    "RadiusValidation",
+]
+
+#: rows drawn at a time where the sample count is unbounded (``certify`` with
+#: a tiny ``eps`` asks for millions), so memory stays bounded
+SAMPLE_CHUNK = 4096
 
 
-def _ray_crossing(
-    features: FeatureSet,
+def sample_directions(
+    rng: np.random.Generator, n: int, dim: int, norm: Norm | str | None = None
+) -> np.ndarray:
+    """``(n, dim)`` matrix of random unit directions in ``norm``.
+
+    Gaussian rows are normalized in l2, then rescaled to unit ``norm`` size,
+    so a scale along a row is a perturbation size in that norm.  The first
+    ``k`` rows of a seeded draw equal a seeded draw of ``k`` rows.
+    """
+    d = rng.standard_normal((n, dim))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return d / get_norm(norm).rows(d)[:, None]
+
+
+def sample_ball(
+    rng: np.random.Generator, n: int, dim: int, radius: float, norm: Norm | str | None = None
+) -> np.ndarray:
+    """``(n, dim)`` perturbations strictly inside the ``norm`` ball: directions
+    times ``radius * u**(1/dim)``, ``u ~ U[0, 1)``, so the whole interior is
+    exercised, not just the shell."""
+    d = sample_directions(rng, n, dim, norm)
+    return d * (radius * rng.random(n) ** (1.0 / dim))[:, None]
+
+
+def ray_crossings(
+    satisfied: Callable[[np.ndarray], np.ndarray],
     origin: np.ndarray,
-    direction: np.ndarray,
+    directions: np.ndarray,
     *,
     max_scale: float,
     tol: float,
-) -> float:
-    """Distance along ``direction`` (unit norm) at which some feature first
-    leaves its bounds; ``inf`` if none within ``max_scale``."""
-    lo, hi = 0.0, None
-    # Geometric expansion to find a violating scale.
+) -> np.ndarray:
+    """Distance along each row of ``directions`` at which ``satisfied`` (a
+    ``(k, dim)`` -> ``(k,)`` bool map) first fails; ``inf`` if not by ``max_scale``.
+
+    All rays double the scale ``1, 2, 4, ...`` together, then bisect until the
+    bracket is ``tol * max(1, hi)`` wide; finished rays leave the active set.
+    Returns ``hi``, the *violating* end of each bracket: never below the true
+    crossing, so the Monte-Carlo estimate stays an over-estimate for tiny radii.
+    """
+    origin = np.asarray(origin, dtype=float)
+    directions = np.asarray(directions, dtype=float)
+    lo = np.zeros(directions.shape[0])
+    hi = np.full(directions.shape[0], np.inf)
+    active = np.arange(directions.shape[0])
     scale = 1.0
-    while scale <= max_scale:
-        if not features.all_satisfied_at(origin + scale * direction):
-            hi = scale
-            break
-        lo = scale
+    while scale <= max_scale and active.size:
+        ok = satisfied(origin + scale * directions[active])
+        hi[active[~ok]] = scale
+        lo[active[ok]] = scale
+        active = active[ok]
         scale *= 2.0
-    if hi is None:
-        return np.inf
-    # Bisection between the last satisfied and first violated scales.
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if features.all_satisfied_at(origin + mid * direction):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    active = np.flatnonzero(np.isfinite(hi))
+    while True:
+        active = active[hi[active] - lo[active] > tol * np.maximum(1.0, hi[active])]
+        if not active.size:
+            return hi
+        mid = 0.5 * (lo[active] + hi[active])
+        ok = satisfied(origin + mid[:, None] * directions[active])
+        lo[active[ok]] = mid[ok]
+        hi[active[~ok]] = mid[~ok]
 
 
 def estimate_radius_mc(
@@ -81,7 +127,6 @@ def estimate_radius_mc(
     better-than-possible one), so tests assert ``estimate >= exact`` and
     convergence from above.
     """
-    norm = get_norm(norm)
     origin = np.asarray(origin, dtype=float)
     if origin.ndim != 1:
         raise ValidationError("origin must be a vector")
@@ -90,25 +135,11 @@ def estimate_radius_mc(
             "origin violates the robustness requirement; MC estimation assumes "
             "a feasible starting point"
         )
-    rng = ensure_rng(seed)
-    best = np.inf
-    for _ in range(n_directions):
-        d = rng.standard_normal(origin.size)
-        n = np.linalg.norm(d)
-        if n == 0:
-            continue
-        d = d / n
-        # Re-normalize in the requested norm so the crossing scale is the
-        # perturbation size in that norm.
-        size = norm(d)
-        if size == 0:
-            continue
-        d = d / size
-        crossing = _ray_crossing(features, origin, d, max_scale=max_scale, tol=tol)
-        best = min(best, crossing)
-    if best is np.inf and n_directions > 0:
-        return np.inf
-    return float(best)
+    directions = sample_directions(ensure_rng(seed), n_directions, origin.size, norm)
+    crossings = ray_crossings(
+        features.satisfied_rows, origin, directions, max_scale=max_scale, tol=tol
+    )
+    return float(crossings.min(initial=np.inf))
 
 
 @dataclass(frozen=True)
@@ -154,44 +185,27 @@ def validate_radius(
     if radius < 0 or not np.isfinite(radius):
         raise ValidationError(f"radius must be finite and non-negative, got {radius}")
     rng = ensure_rng(seed)
-    interior_violations = 0
+    satisfied = features.satisfied_rows
     min_crossing = np.inf
     if boundary_point is not None:
-        bp = np.asarray(boundary_point, dtype=float)
-        disp = bp - origin
+        disp = np.asarray(boundary_point, dtype=float) - origin
         size = norm(disp)
         if size > 0:
-            direction = disp / size
-            min_crossing = _ray_crossing(
-                features, origin, direction, max_scale=max(size * 16.0, 1.0), tol=1e-9
+            (min_crossing,) = ray_crossings(
+                satisfied, origin, [disp / size], max_scale=max(size * 16.0, 1.0), tol=1e-9
             )
-    for _ in range(n_samples):
-        d = rng.standard_normal(origin.size)
-        nl2 = np.linalg.norm(d)
-        if nl2 == 0:
-            continue
-        d = d / nl2
-        size = norm(d)
-        if size == 0:
-            continue
-        d = d / size
-        # Soundness probe strictly inside the ball (random magnitude so the
-        # whole interior is exercised, not just the shell).
-        mag = radius * (1.0 - slack) * rng.uniform(0.0, 1.0) ** (1.0 / max(origin.size, 1))
-        if not features.all_satisfied_at(origin + mag * d):
-            interior_violations += 1
-        # Tightness probe: crossing distance along this direction.
-        crossing = _ray_crossing(
-            features, origin, d, max_scale=max(radius * 16.0, 1.0), tol=1e-9
-        )
-        min_crossing = min(min_crossing, crossing)
-    sound = interior_violations == 0
-    tight = bool(min_crossing <= radius * tightness_factor) if np.isfinite(radius) else True
+    interior = origin + sample_ball(rng, n_samples, origin.size, radius * (1.0 - slack), norm)
+    interior_violations = int(np.count_nonzero(~satisfied(interior)))
+    directions = sample_directions(rng, n_samples, origin.size, norm)
+    crossings = ray_crossings(
+        satisfied, origin, directions, max_scale=max(radius * 16.0, 1.0), tol=1e-9
+    )
+    min_crossing = min(min_crossing, crossings.min(initial=np.inf))
     return RadiusValidation(
         radius=radius,
         n_samples=n_samples,
         interior_violations=interior_violations,
         min_crossing=float(min_crossing),
-        sound=sound,
-        tight=tight,
+        sound=interior_violations == 0,
+        tight=bool(min_crossing <= radius * tightness_factor),
     )

@@ -111,8 +111,9 @@ class RetryPolicy:
     by ``timeout_factor**k`` (more patient).  In ``on_error="degrade"``
     mode, a task whose solve attempts are all exhausted falls back to the
     Monte-Carlo ray search (:func:`repro.core.solvers.montecarlo.
-    estimate_radius_mc`, ``mc_directions`` rays), whose result is flagged as
-    a *bound* on the radius, never as an exact value.
+    estimate_radius_mc`, ``mc_directions`` rays), whose result — the
+    violating end of a ray's bracket, never below the radius — is flagged
+    as a *bound* on the radius, never as an exact value.
     """
 
     #: total attempts per task (first try included); >= 1

@@ -6,7 +6,8 @@ produces a makespan of at most ``tau * M_orig``.  This module samples error
 vectors inside the ball (must all pass), simulates the boundary vector
 ``C*`` (must sit exactly on ``tau * M_orig``), and steps just beyond it
 (must violate) — closing the loop between the closed-form geometry and an
-actual execution.
+actual execution.  The error vectors come from the one batched sampler,
+:func:`~repro.core.solvers.montecarlo.sample_ball`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from repro.alloc.mapping import Mapping
 from repro.alloc.robustness import boundary_etc_vector, robustness
+from repro.core.solvers.montecarlo import sample_ball
 from repro.sim.tasksim import simulate_mapping
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int
@@ -72,19 +74,12 @@ def validate_allocation_robustness(
     c_orig = mapping.executed_times(etc)
     limit = res.tau * res.makespan
 
-    interior = np.empty(n_samples)
-    violations = 0
-    for k in range(n_samples):
-        d = rng.standard_normal(mapping.n_tasks)
-        d /= np.linalg.norm(d)
-        mag = res.value * (1.0 - slack) * rng.uniform(0.0, 1.0) ** (
-            1.0 / mapping.n_tasks
-        )
-        c = np.maximum(c_orig + mag * d, 0.0)
-        sim = simulate_mapping(mapping, c)
-        interior[k] = sim.makespan
-        if sim.makespan > limit * (1 + 1e-12):
-            violations += 1
+    deltas = sample_ball(rng, n_samples, mapping.n_tasks, res.value * (1.0 - slack))
+    # The simulator is what this module validates, so each row runs through it.
+    interior = np.array(
+        [simulate_mapping(mapping, c).makespan for c in np.maximum(c_orig + deltas, 0.0)]
+    )
+    violations = int(np.count_nonzero(interior > limit * (1 + 1e-12)))
 
     c_star = boundary_etc_vector(mapping, etc, tau)
     boundary_ms = simulate_mapping(mapping, np.maximum(c_star, 0.0)).makespan

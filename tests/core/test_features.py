@@ -102,6 +102,16 @@ class TestFeatureSet:
         assert not fs.all_satisfied_at([6.0, 1.0])
         assert fs.violations_at([6.0, 8.0]) == ["A", "B"]
 
+    def test_satisfied_rows_matches_pointwise(self, rng):
+        fs = self.make()
+        fs.add(PerformanceFeature("Q", lambda x: float(x @ x), FeatureBounds(upper=40.0)))
+        points = rng.uniform(-2.0, 8.0, size=(50, 2))
+        for tol in (0.0, 0.5):
+            rows = fs.satisfied_rows(points, tol=tol)
+            assert rows.dtype == bool
+            assert list(rows) == [fs.all_satisfied_at(p, tol=tol) for p in points]
+            assert list(rows) == [not fs.violations_at(p, tol=tol) for p in points]
+
     def test_rejects_non_feature(self):
         with pytest.raises(ValidationError):
             FeatureSet([42])  # type: ignore[list-item]

@@ -46,6 +46,15 @@ class TestAffineImpact:
         imp = AffineImpact([1.0, 2.0])
         with pytest.raises(ValidationError):
             imp(np.ones(3))
+        with pytest.raises(ValidationError):
+            imp.batch(np.ones((4, 3)))  # rows of the wrong width
+        with pytest.raises(ValidationError):
+            imp.batch(np.ones(2))  # a vector is not a matrix of rows
+
+    def test_base_batch_is_the_row_loop(self, rng):
+        imp = CallableImpact(lambda x: float(x @ x))
+        pis = rng.standard_normal((6, 3))
+        np.testing.assert_array_equal(imp.batch(pis), [imp(p) for p in pis])
 
     def test_is_affine(self):
         assert AffineImpact([1.0]).is_affine

@@ -36,6 +36,10 @@ class TestNormAxioms:
     def test_homogeneous(self, norm: Norm, x, t):
         assert norm(t * x) == pytest.approx(abs(t) * norm(x), rel=1e-9, abs=1e-9)
 
+    def test_rows_match_per_row_calls(self, norm: Norm, rng):
+        x = rng.standard_normal((7, 3)) * 100.0
+        np.testing.assert_allclose(norm.rows(x), [norm(row) for row in x], rtol=1e-12)
+
     @given(x=vectors3, y=vectors3)
     def test_triangle_inequality(self, norm: Norm, x, y):
         assert norm(x + y) <= norm(x) + norm(y) + 1e-9 * (1 + norm(x) + norm(y))

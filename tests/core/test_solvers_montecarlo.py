@@ -8,8 +8,16 @@ import pytest
 from repro.core.features import FeatureBounds, FeatureSet, PerformanceFeature
 from repro.core.impact import AffineImpact, CallableImpact
 from repro.core.metric import robustness_metric
+from repro.core.norms import L1Norm, L2Norm, LInfNorm, WeightedL2Norm
 from repro.core.perturbation import PerturbationParameter
-from repro.core.solvers.montecarlo import estimate_radius_mc, validate_radius
+from repro.core.solvers.montecarlo import (
+    SAMPLE_CHUNK,
+    estimate_radius_mc,
+    ray_crossings,
+    sample_ball,
+    sample_directions,
+    validate_radius,
+)
 from repro.exceptions import ValidationError
 
 
@@ -21,6 +29,95 @@ def _affine_set():
             PerformanceFeature("C", AffineImpact([1.0, 1.0]), FeatureBounds(upper=6.0)),
         ]
     )
+
+
+def _scalar_ray_crossing(features, origin, direction, *, max_scale, tol):
+    """The one-ray-at-a-time search the batched kernel replaced (reference
+    oracle): returns the midpoint of the final bracket."""
+    lo, hi = 0.0, None
+    scale = 1.0
+    while scale <= max_scale:
+        if not features.all_satisfied_at(origin + scale * direction):
+            hi = scale
+            break
+        lo = scale
+        scale *= 2.0
+    if hi is None:
+        return np.inf
+    while hi - lo > tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if features.all_satisfied_at(origin + mid * direction):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestSampler:
+    @pytest.mark.parametrize("k", [5, SAMPLE_CHUNK + 10])
+    def test_directions_are_prefix_stable(self, k):
+        # More directions never loosen the estimate: a longer draw extends a
+        # shorter one, also past a chunk boundary.
+        long = sample_directions(np.random.default_rng(3), SAMPLE_CHUNK + 100, 3)
+        short = sample_directions(np.random.default_rng(3), k, 3)
+        np.testing.assert_array_equal(long[:k], short)
+
+    @pytest.mark.parametrize(
+        "norm",
+        [L1Norm(), L2Norm(), LInfNorm(), WeightedL2Norm([1.0, 4.0, 0.25, 2.0])],
+        ids=lambda n: n.name,
+    )
+    def test_ball_points_strictly_inside(self, norm):
+        points = sample_ball(np.random.default_rng(4), 2000, 4, 2.5, norm)
+        sizes = np.array([norm(p) for p in points])
+        assert points.shape == (2000, 4)
+        assert np.all(sizes < 2.5)
+        assert sizes.max() > 2.0  # the whole ball is exercised, not a core
+
+    def test_directions_have_unit_norm(self):
+        norm = WeightedL2Norm([1.0, 9.0])
+        d = sample_directions(np.random.default_rng(5), 64, 2, norm)
+        np.testing.assert_allclose([norm(row) for row in d], 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "features",
+        [
+            _affine_set(),
+            # the disc ||pi||^2 <= 4 cut by the half-space x <= 1.5, so rays
+            # toward +x cross the line and the others the circle
+            FeatureSet(
+                [
+                    PerformanceFeature(
+                        "Q", CallableImpact(lambda x: float(x @ x)), FeatureBounds(upper=4.0)
+                    ),
+                    PerformanceFeature("H", AffineImpact([1.0, 0.0]), FeatureBounds(upper=1.5)),
+                ]
+            ),
+            # only x <= 5 is bounded: rays pointing away never cross (inf)
+            FeatureSet(
+                [PerformanceFeature("A", AffineImpact([1.0, 0.0]), FeatureBounds(upper=5.0))]
+            ),
+        ],
+        ids=["affine", "callable", "unbounded-side"],
+    )
+    def test_batched_crossings_match_scalar_search(self, features):
+        origin = np.array([1.0, 0.5])
+        directions = sample_directions(np.random.default_rng(6), 48, 2)
+        tol = 1e-9
+        got = ray_crossings(
+            features.satisfied_rows, origin, directions, max_scale=1e6, tol=tol
+        )
+        want = np.array(
+            [
+                _scalar_ray_crossing(features, origin, d, max_scale=1e6, tol=tol)
+                for d in directions
+            ]
+        )
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.all(np.abs(got[finite] - want[finite]) <= tol * np.maximum(1.0, got[finite]))
+        if features.names() == ["A"]:
+            assert np.isinf(got).any() and np.isfinite(got).any()
 
 
 class TestEstimateRadiusMC:
@@ -53,6 +150,17 @@ class TestEstimateRadiusMC:
             [PerformanceFeature("F", AffineImpact([1.0, 1.0]), FeatureBounds())]
         )
         assert estimate_radius_mc(fs, np.zeros(2), n_directions=4, seed=2, max_scale=1e6) == np.inf
+
+    def test_tiny_radius_is_not_underestimated(self):
+        # The bound sits 4.6e-9 above the origin, below the bisection's
+        # absolute width (1e-9 at scale 1): the estimate must still be the
+        # violating end of the bracket, never below the exact radius.
+        exact = 4.6e-9
+        fs = FeatureSet(
+            [PerformanceFeature("F", AffineImpact([1.0]), FeatureBounds(upper=exact))]
+        )
+        est = estimate_radius_mc(fs, np.zeros(1), n_directions=8, seed=0)
+        assert exact <= est <= exact + 1e-9
 
     def test_infeasible_origin_rejected(self):
         fs = _affine_set()
