@@ -1,15 +1,14 @@
 """Static analysis of the repro codebase itself — ``repro lint``.
 
-PRs 1–2 established invariants that ordinary tests can only sample:
+The engine relies on invariants that ordinary tests can only sample:
 bit-for-bit scalar/batched parity requires that no library code touches
 global RNG state (seeded retry replay); the process-pool fan-out requires
-that every submitted callable and returned exception pickles under spawn;
-the boundary solvers require impact functions pure in ``pi``; the
-fault-tolerant layer requires that no failure is silently swallowed.  This
-package enforces those contracts *mechanically*, as an AST lint pass over
-the source tree, so the invariants are checkable properties of the program
-rather than conventions.  It is development tooling: only ``repro lint``
-imports it, never the runtime.
+that every submitted callable pickles under spawn; the fault-tolerant layer
+requires that no failure is silently swallowed.  This package enforces
+those contracts *mechanically*, as an AST lint pass over the source tree,
+so the invariants are checkable properties of the program rather than
+conventions.  It is development tooling: only ``repro lint`` imports it,
+never the runtime.
 
 Rule codes (see :mod:`repro.analysis.checks` and ``docs/ANALYSIS.md``):
 
@@ -17,12 +16,9 @@ Rule codes (see :mod:`repro.analysis.checks` and ``docs/ANALYSIS.md``):
 R001  legacy-global-rng          global-state RNG breaks seeded replay
 R002  unseeded-default-rng       library RNGs must flow from an explicit seed
 R004  unpicklable-pool-payload   lambdas/closures across the pool boundary
-R005  exception-pickle-contract  kw-only exception ``__init__`` sans ``__reduce__``
-R006  impact-mutates-pi          impact/feature functions must be pure in ``pi``
 R008  frozen-field-mutation      ``object.__setattr__`` outside ``__post_init__``
 R101  seed-provenance-taint      RNG seed not derivable from config/constants
 R102  pool-shared-state-race     pool task reads state the submitter mutates
-R103  perturbation-aliasing      callee mutates a caller's ``pi`` in place
 R104  unrecorded-failure-path    handler drops errors without a FailureRecord
 R110  blocking-call-in-async     sleep/result/IO inside ``async def`` stalls loop
 R111  await-straddle-race        shared state RMW across await / from pool task
@@ -34,10 +30,13 @@ W000  stale-suppression          ``noqa[CODE]`` marker that no longer fires
 R1xx rules are *interprocedural*: they run on per-module dataflow
 summaries joined into a project call graph
 (:mod:`repro.analysis.dataflow`), so a hazard threaded through helper
-functions or across modules is still caught.  The companion *runtime*
-layer, :mod:`repro.engine.sanitize`, audits numeric post-conditions
-(NaN radii, negative radii at feasible origins, metric/minimum
-mismatches) that no static rule can see.
+functions or across modules is still caught.  Invariants the runtime can
+enforce on every backend are checked there instead, not here: impacts see
+a read-only ``pi`` (:class:`~repro.core.impact.CallableImpact`), every
+engine batch passes the post-conditions of :mod:`repro.engine.sanitize`
+(no silent NaN radius, no negative radius at a feasible origin, metric =
+minimum radius), and ``tests/test_exceptions.py`` round-trips every
+``ReproError`` through pickle and a process pool.
 
 Suppress a deliberate violation inline with ``# repro: noqa[CODE]`` plus a
 justification.  Programmatic use::

@@ -15,16 +15,11 @@ from repro.analysis.checks.concur import (
 )
 from repro.analysis.checks.frozen import FrozenMutationRule
 from repro.analysis.checks.interproc import (
-    PerturbationAliasingRule,
     PoolSharedStateRule,
     SeedProvenanceRule,
     UnrecordedFailureRule,
 )
-from repro.analysis.checks.pickle_safety import (
-    ExceptionReduceRule,
-    UnpicklableSubmitRule,
-)
-from repro.analysis.checks.purity import ImpactPurityRule
+from repro.analysis.checks.pickle_safety import UnpicklableSubmitRule
 from repro.analysis.checks.rng import LegacyGlobalRngRule, UnseededDefaultRngRule
 from repro.analysis.checks.stale import StaleSuppressionRule
 
@@ -32,12 +27,9 @@ __all__ = [
     "LegacyGlobalRngRule",
     "UnseededDefaultRngRule",
     "UnpicklableSubmitRule",
-    "ExceptionReduceRule",
-    "ImpactPurityRule",
     "FrozenMutationRule",
     "SeedProvenanceRule",
     "PoolSharedStateRule",
-    "PerturbationAliasingRule",
     "UnrecordedFailureRule",
     "BlockingInAsyncRule",
     "AwaitStraddleRule",

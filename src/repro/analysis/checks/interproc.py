@@ -1,4 +1,4 @@
-"""Interprocedural rules R101–R104 (project phase).
+"""Interprocedural rules R101, R102 and R104 (project phase).
 
 These rules consume the :class:`~repro.analysis.dataflow.project.
 ProjectContext` built from every module summary in the run; they see
@@ -10,14 +10,12 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.analysis.dataflow.project import ProjectContext
-from repro.analysis.dataflow.summaries import PI_PARAMS, FunctionSummary, ModuleSummary
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import ProjectRule, register
 
 __all__ = [
     "SeedProvenanceRule",
     "PoolSharedStateRule",
-    "PerturbationAliasingRule",
     "UnrecordedFailureRule",
 ]
 
@@ -103,93 +101,6 @@ class PoolSharedStateRule(ProjectRule):
                                 " also written by the submitting method — racy"
                                 " under pool fan-out",
                             )
-
-
-@register
-class PerturbationAliasingRule(ProjectRule):
-    """R103: a ``pi``/``pi_orig`` array is passed to a callee that mutates
-    the receiving parameter in place, or a transitively-mutated ``pi`` is
-    returned/stored — the interprocedural extension of R006."""
-
-    code = "R103"
-    name = "perturbation-aliasing"
-    description = (
-        "pi/pi_orig mutated through a callee, or a mutated pi escapes by "
-        "return/store (interprocedural R006)"
-    )
-    severity = Severity.ERROR
-    applies_to_tests = True
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        for mod in project.modules:
-            for qual, f in self._qualified(mod):
-                yield from self._call_site_findings(project, mod, qual, f)
-                yield from self._escape_findings(project, mod, qual, f)
-
-    @staticmethod
-    def _qualified(mod: ModuleSummary) -> Iterator[tuple[str, FunctionSummary]]:
-        for fname, fsum in mod.functions.items():
-            yield f"{mod.module}.{fname}", fsum
-
-    def _call_site_findings(
-        self,
-        project: ProjectContext,
-        mod: ModuleSummary,
-        qual: str,
-        f: FunctionSummary,
-    ) -> Iterator[Finding]:
-        for rec in f.calls:
-            callee = project.function(rec.callee)
-            if callee is None:
-                continue
-            for pos, caller_param in rec.pi_positions:
-                cp = project.callee_param(callee, pos)
-                if cp is not None and project.mutates_param(rec.callee, cp):
-                    yield self.finding_at(
-                        mod.path,
-                        rec.line,
-                        rec.col,
-                        f"passes {caller_param!r} to "
-                        f"{rec.callee.rsplit('.', 1)[-1]}() which mutates its "
-                        f"{cp!r} parameter in place — the caller's "
-                        "perturbation array is silently modified",
-                    )
-            for kw, caller_param in rec.pi_keywords:
-                if kw in callee.params and project.mutates_param(rec.callee, kw):
-                    yield self.finding_at(
-                        mod.path,
-                        rec.line,
-                        rec.col,
-                        f"passes {caller_param!r} as {kw}= to "
-                        f"{rec.callee.rsplit('.', 1)[-1]}() which mutates it "
-                        "in place — the caller's perturbation array is "
-                        "silently modified",
-                    )
-
-    def _escape_findings(
-        self,
-        project: ProjectContext,
-        mod: ModuleSummary,
-        qual: str,
-        f: FunctionSummary,
-    ) -> Iterator[Finding]:
-        local = {p for p, _ in f.mutated_params}
-        for param, line in (*f.returned_params, *f.stored_params):
-            if param not in PI_PARAMS:
-                continue
-            # local mutation + escape is R006's domain; only the *transitive*
-            # (callee-induced) mutation is news here
-            if param in local:
-                continue
-            if project.mutates_param(qual, param):
-                yield self.finding_at(
-                    mod.path,
-                    line,
-                    0,
-                    f"{param!r} is mutated through a callee and then "
-                    "returned/stored — aliasing hazard for the caller's "
-                    "perturbation array",
-                )
 
 
 @register

@@ -1,13 +1,10 @@
-"""Pickle-safety rules: R004 unpicklable pool payloads, R005 exception
-``__reduce__`` round-trips.
+"""Pickle-safety rule R004: unpicklable pool payloads.
 
 The engine fans numeric solves out over :class:`~concurrent.futures.
 ProcessPoolExecutor` under the ``spawn`` start method, so every submitted
-callable and every exception crossing back must pickle.  Lambdas and
-closures never pickle; exception subclasses with keyword-only ``__init__``
-parameters pickle only when they define ``__reduce__`` (the default
-``Exception.__reduce__`` replays ``cls(*self.args)``, which drops
-keyword-only attributes or raises ``TypeError`` outright).
+callable must pickle.  Lambdas and closures never do.  (That every
+``ReproError`` crossing back pickles is checked at runtime by
+``tests/test_exceptions.py``, which round-trips each subclass.)
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from repro.analysis.context import FileContext, dotted_name
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import Rule, register
 
-__all__ = ["UnpicklableSubmitRule", "ExceptionReduceRule"]
+__all__ = ["UnpicklableSubmitRule"]
 
 #: engine fan-out entry points whose task payloads cross the pool boundary
 _FANOUT_FUNCS = frozenset({"solve_radius_tasks_isolated"})
@@ -113,66 +110,3 @@ class UnpicklableSubmitRule(Rule):
         if name is None:
             return False
         return name.rsplit(".", 1)[-1] in _FANOUT_FUNCS
-
-
-@register
-class ExceptionReduceRule(Rule):
-    """R005 — repro exception with keyword-only ``__init__`` but no
-    ``__reduce__``."""
-
-    code = "R005"
-    name = "exception-pickle-contract"
-    description = (
-        "ReproError subclasses whose __init__ takes keyword-only parameters "
-        "must define __reduce__, or the default Exception reduce drops "
-        "their attributes (or fails) when a pool worker ships them back"
-    )
-    severity = Severity.ERROR
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        exc_names = {"ReproError"}
-        for local, (module, _orig) in ctx.from_imports.items():
-            if module == "repro.exceptions":
-                exc_names.add(local)
-
-        classes = [
-            n for n in ast.walk(ctx.tree) if isinstance(n, ast.ClassDef)
-        ]
-        # propagate membership through same-file inheritance chains
-        changed = True
-        members: set[str] = set()
-        while changed:
-            changed = False
-            for cls in classes:
-                if cls.name in members:
-                    continue
-                bases = {b for b in map(dotted_name, cls.bases) if b}
-                base_tails = {b.rsplit(".", 1)[-1] for b in bases}
-                if base_tails & (exc_names | members):
-                    members.add(cls.name)
-                    changed = True
-
-        for cls in classes:
-            if cls.name not in members:
-                continue
-            init = self._method(cls, "__init__")
-            if init is None:
-                continue  # inherits a safe __init__
-            if not init.args.kwonlyargs:
-                continue  # cls(*self.args) round-trips by default
-            if self._method(cls, "__reduce__") is not None:
-                continue
-            yield self.finding(
-                ctx,
-                cls,
-                f"exception '{cls.name}' takes keyword-only __init__ "
-                "parameters but defines no __reduce__; it will not "
-                "round-trip pickle across the pool boundary",
-            )
-
-    @staticmethod
-    def _method(cls: ast.ClassDef, name: str) -> ast.FunctionDef | None:
-        for stmt in cls.body:
-            if isinstance(stmt, ast.FunctionDef) and stmt.name == name:
-                return stmt
-        return None

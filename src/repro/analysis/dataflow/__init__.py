@@ -6,14 +6,14 @@ subpackage adds a project-wide view in two phases:
 1. **Summary phase** (:mod:`repro.analysis.dataflow.summaries`) — each
    module is reduced to a serializable :class:`ModuleSummary`: per-function
    facts about parameters, RNG creation sites and their seed provenance,
-   call records, in-place mutation effects, captured globals / ``self``
-   attributes, pool submissions and except-handler shapes.
+   call records, captured globals / ``self`` attributes, pool submissions
+   and except-handler shapes.
 2. **Propagation phase** (:mod:`repro.analysis.dataflow.project`) — a
    :class:`ProjectContext` indexes every summary, builds the call graph and
    runs small monotone fixpoints (seed derivation of return values,
-   transitive parameter mutation, transitive ``FailureRecord`` creation,
-   transitive global capture) that power the cross-function rules
-   R101–R104 in :mod:`repro.analysis.checks.interproc`.
+   transitive ``FailureRecord`` creation, transitive global capture) that
+   power the cross-function rules R101, R102 and R104 in
+   :mod:`repro.analysis.checks.interproc`.
 
 Summaries are content-addressed: :class:`~repro.analysis.dataflow.cache.
 SummaryStore` persists them (plus each file's raw local findings) keyed by

@@ -39,8 +39,10 @@ __all__ = ["SummaryStore", "CACHE_VERSION", "DEFAULT_CACHE_PATH", "content_hash"
 #: checks and R004 its ``solve_radius_tasks`` fan-out name, so cached raw
 #: findings from v4 may be stale; v6: the performance facts, R003, R007,
 #: R009, R112 and the fix payloads are gone, so v5 summaries and raw
-#: findings carry fields and codes this version no longer reads)
-CACHE_VERSION = 6
+#: findings carry fields and codes this version no longer reads; v7: the
+#: parameter-mutation facts, the pi-argument call positions, R005, R006
+#: and R103 are gone)
+CACHE_VERSION = 7
 
 #: default store location used by ``repro lint`` (cwd-relative)
 DEFAULT_CACHE_PATH = Path(".repro-lint-cache.json")

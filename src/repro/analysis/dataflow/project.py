@@ -1,15 +1,12 @@
 """Propagation phase: project-wide fixpoints over module summaries.
 
 A :class:`ProjectContext` indexes every :class:`~repro.analysis.dataflow.
-summaries.FunctionSummary` by its fully-qualified name and runs four small
+summaries.FunctionSummary` by its fully-qualified name and runs three small
 monotone fixpoints on the call graph:
 
 - :attr:`returns_derived` — which functions provably return seed-derived
   values (pessimistic start: a function is underived until every project
   dependency of its return expressions is derived);
-- :meth:`mutates_param` — transitive closure of pre-rebind in-place
-  parameter mutation (``f`` passing its ``pi`` to ``g`` which mutates the
-  receiving parameter taints ``f``'s parameter too);
 - :meth:`creates_failure_record` — whether a function can (transitively)
   construct a ``FailureRecord``;
 - :meth:`transitive_global_reads` — mutable module globals captured
@@ -52,7 +49,6 @@ class ProjectContext:
                 self.functions[qual] = fsum
                 self.owner[qual] = mod
         self._returns_derived: dict[str, bool] | None = None
-        self._mutated_closure: dict[str, frozenset[str]] | None = None
         self._creates_fr: dict[str, bool] | None = None
         self._global_reads: dict[str, frozenset[str]] = {}
         self._blocking_roots: dict[str, str] | None = None
@@ -63,16 +59,6 @@ class ProjectContext:
     def function(self, qualname: str) -> FunctionSummary | None:
         """Summary for a fully-qualified name, or None when unknown."""
         return self.functions.get(qualname)
-
-    def callee_param(self, callee: FunctionSummary, position: int) -> str | None:
-        """Name of the parameter receiving positional argument *position*
-        (``self`` skipped for methods, assuming a bound call)."""
-        params = callee.params
-        if callee.is_method and params and params[0] in ("self", "cls"):
-            params = params[1:]
-        if 0 <= position < len(params):
-            return params[position]
-        return None
 
     # -- fixpoint: seed derivation of return values ------------------------
 
@@ -98,43 +84,6 @@ class ProjectContext:
         """True when any dependency of an RNG site fails to derive."""
         table = self.returns_derived
         return any(not table.get(dep, False) for dep in site_depends)
-
-    # -- fixpoint: transitive parameter mutation ---------------------------
-
-    @property
-    def mutated_params(self) -> dict[str, frozenset[str]]:
-        """Function qualname -> parameters mutated locally or via callees."""
-        if self._mutated_closure is None:
-            closure: dict[str, set[str]] = {
-                q: {p for p, _ in f.mutated_params}
-                for q, f in self.functions.items()
-            }
-            for _ in range(_MAX_DEPTH):
-                changed = False
-                for qual, f in self.functions.items():
-                    for rec in f.calls:
-                        callee = self.functions.get(rec.callee)
-                        if callee is None:
-                            continue
-                        for pos, caller_param in rec.pi_positions:
-                            cp = self.callee_param(callee, pos)
-                            if cp is not None and cp in closure[rec.callee]:
-                                if caller_param not in closure[qual]:
-                                    closure[qual].add(caller_param)
-                                    changed = True
-                        for kw, caller_param in rec.pi_keywords:
-                            if kw in callee.params and kw in closure[rec.callee]:
-                                if caller_param not in closure[qual]:
-                                    closure[qual].add(caller_param)
-                                    changed = True
-                if not changed:
-                    break
-            self._mutated_closure = {q: frozenset(s) for q, s in closure.items()}
-        return self._mutated_closure
-
-    def mutates_param(self, qualname: str, param: str) -> bool:
-        """Does *qualname* mutate *param* in place, possibly via callees?"""
-        return param in self.mutated_params.get(qualname, frozenset())
 
     # -- fixpoint: transitive FailureRecord creation -----------------------
 

@@ -15,8 +15,6 @@ toward *fewer false positives*:
   receiver (``root.spawn(n)``) or a call to a *project* function whose own
   return value is derived (resolved later by the project fixpoint).  Any
   other external call taints.
-- **Mutation effects** reuse the R006 notion of an in-place write to a
-  parameter before it is rebound (``pi = pi.copy()`` clears the hazard).
 - **Handler shapes** record, for every ``except`` clause, what it catches
   and whether it locally raises / stores the bound exception / calls out —
   enough for R104 to decide if a failure can vanish.
@@ -78,14 +76,11 @@ _SEED_BUILTINS = frozenset(
     {"abs", "int", "float", "hash", "round", "min", "max", "sum", "len", "tuple", "sorted"}
 )
 
-#: in-place ndarray/list mutator method names (mirrors the R006 checker)
+#: in-place ndarray/list mutator method names (shared-state writes, R111)
 _MUTATORS = frozenset(
     {"fill", "sort", "partition", "put", "itemset", "setfield", "resize",
      "append", "extend", "insert", "pop", "remove", "clear", "update"}
 )
-
-#: perturbation-parameter names covered by the aliasing rule R103
-PI_PARAMS = frozenset({"pi", "pi_orig"})
 
 #: resolved call names that block the calling thread (R110); a call that is
 #: directly awaited is never counted — ``await`` hands the loop back
@@ -184,32 +179,19 @@ class RngSite:
 
 @dataclass(frozen=True)
 class CallRecord:
-    """One resolved call site, with positions where the caller passes its
-    own perturbation parameter (``pi``/``pi_orig``) before any rebind."""
+    """One resolved call site."""
 
     #: qualified callee (``repro.engine.fault.solve_one`` or ``mod.Class.m``)
     callee: str
     line: int
     col: int
-    #: (positional index, caller parameter name) pairs
-    pi_positions: tuple[tuple[int, str], ...] = ()
-    #: (keyword name, caller parameter name) pairs
-    pi_keywords: tuple[tuple[str, str], ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "callee": self.callee, "line": self.line, "col": self.col,
-            "pi_positions": [list(p) for p in self.pi_positions],
-            "pi_keywords": [list(p) for p in self.pi_keywords],
-        }
+        return {"callee": self.callee, "line": self.line, "col": self.col}
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "CallRecord":
-        return cls(
-            callee=d["callee"], line=d["line"], col=d["col"],
-            pi_positions=tuple((int(a), str(b)) for a, b in d["pi_positions"]),
-            pi_keywords=tuple((str(a), str(b)) for a, b in d["pi_keywords"]),
-        )
+        return cls(callee=d["callee"], line=d["line"], col=d["col"])
 
 
 @dataclass(frozen=True)
@@ -354,13 +336,6 @@ class FunctionSummary:
     calls: tuple[CallRecord, ...] = ()
     #: unique qualified callee names (superset of ``calls`` callees)
     call_names: tuple[str, ...] = ()
-    #: parameter -> line of its first pre-rebind in-place mutation
-    mutated_params: tuple[tuple[str, int], ...] = ()
-    #: (param, line) for ``return <param>`` of a pre-rebind parameter
-    returned_params: tuple[tuple[str, int], ...] = ()
-    #: (param, line) for stores of a pre-rebind parameter into an attribute,
-    #: subscript or container
-    stored_params: tuple[tuple[str, int], ...] = ()
     #: mutable module globals this function reads / writes
     global_reads: tuple[str, ...] = ()
     global_writes: tuple[str, ...] = ()
@@ -402,9 +377,6 @@ class FunctionSummary:
             "rng_sites": [s.to_dict() for s in self.rng_sites],
             "calls": [c.to_dict() for c in self.calls],
             "call_names": list(self.call_names),
-            "mutated_params": [list(p) for p in self.mutated_params],
-            "returned_params": [list(p) for p in self.returned_params],
-            "stored_params": [list(p) for p in self.stored_params],
             "global_reads": list(self.global_reads),
             "global_writes": list(self.global_writes),
             "self_reads": list(self.self_reads),
@@ -434,9 +406,6 @@ class FunctionSummary:
             rng_sites=tuple(RngSite.from_dict(s) for s in d["rng_sites"]),
             calls=tuple(CallRecord.from_dict(c) for c in d["calls"]),
             call_names=tuple(d["call_names"]),
-            mutated_params=tuple((str(a), int(b)) for a, b in d["mutated_params"]),
-            returned_params=tuple((str(a), int(b)) for a, b in d["returned_params"]),
-            stored_params=tuple((str(a), int(b)) for a, b in d["stored_params"]),
             global_reads=tuple(d["global_reads"]),
             global_writes=tuple(d["global_writes"]),
             self_reads=tuple(d["self_reads"]),
@@ -748,95 +717,6 @@ def _is_mutable_value(value: ast.expr) -> bool:
         value,
         (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp),
     )
-
-
-def _first_rebind_lines(body: list[ast.AST], params: tuple[str, ...]) -> dict[str, int]:
-    """Line of the first plain-name rebind of each parameter (``p = ...``)."""
-    rebind: dict[str, int] = {}
-    for node in body:
-        if isinstance(node, ast.Assign):
-            for t in node.targets:
-                if isinstance(t, ast.Name) and t.id in params:
-                    line = node.lineno
-                    if t.id not in rebind or line < rebind[t.id]:
-                        rebind[t.id] = line
-    return rebind
-
-
-def _pre_rebind(name: str, line: int, rebind: dict[str, int]) -> bool:
-    return name not in rebind or line < rebind[name]
-
-
-def _mutations(
-    body: list[ast.AST], params: tuple[str, ...], rebind: dict[str, int]
-) -> dict[str, int]:
-    """param -> line of first in-place mutation before any rebind."""
-    hits: dict[str, int] = {}
-
-    def note(name: str | None, line: int) -> None:
-        if name in params and name is not None and _pre_rebind(name, line, rebind):
-            if name not in hits or line < hits[name]:
-                hits[name] = line
-
-    for node in body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for t in targets:
-                if isinstance(t, (ast.Subscript, ast.Attribute)):
-                    note(_root_name(t), node.lineno)
-        elif isinstance(node, ast.AugAssign):
-            if isinstance(node.target, ast.Name):
-                note(node.target.id, node.lineno)
-            elif isinstance(node.target, (ast.Subscript, ast.Attribute)):
-                note(_root_name(node.target), node.lineno)
-        elif isinstance(node, ast.Call):
-            fn = node.func
-            if (
-                isinstance(fn, ast.Attribute)
-                and fn.attr in _MUTATORS
-                and isinstance(fn.value, ast.Name)
-            ):
-                note(fn.value.id, node.lineno)
-            for kw in node.keywords:
-                if kw.arg == "out" and isinstance(kw.value, ast.Name):
-                    note(kw.value.id, node.lineno)
-    return hits
-
-
-def _escapes(
-    body: list[ast.AST], params: tuple[str, ...], rebind: dict[str, int]
-) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
-    """(returned, stored) pre-rebind parameters with their lines."""
-    returned: list[tuple[str, int]] = []
-    stored: list[tuple[str, int]] = []
-    for node in body:
-        if isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
-            name = node.value.id
-            if name in params and _pre_rebind(name, node.lineno, rebind):
-                returned.append((name, node.lineno))
-        elif isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple):
-            for elt in node.value.elts:
-                if isinstance(elt, ast.Name) and elt.id in params and _pre_rebind(
-                    elt.id, node.lineno, rebind
-                ):
-                    returned.append((elt.id, node.lineno))
-        elif isinstance(node, ast.Assign):
-            if isinstance(node.value, ast.Name) and node.value.id in params:
-                name = node.value.id
-                if _pre_rebind(name, node.lineno, rebind) and any(
-                    isinstance(t, (ast.Attribute, ast.Subscript))
-                    for t in node.targets
-                ):
-                    stored.append((name, node.lineno))
-        elif isinstance(node, ast.Call):
-            fn = node.func
-            if isinstance(fn, ast.Attribute) and fn.attr in ("append", "add"):
-                for arg in node.args:
-                    if isinstance(arg, ast.Name) and arg.id in params and _pre_rebind(
-                        arg.id, node.lineno, rebind
-                    ):
-                        stored.append((arg.id, node.lineno))
-    return returned, stored
 
 
 def _self_accesses(body: list[ast.AST]) -> tuple[frozenset[str], frozenset[str]]:
@@ -1322,10 +1202,7 @@ def _call_records(
     ctx: FileContext,
     module: str,
     class_name: str | None,
-    params: tuple[str, ...],
-    rebind: dict[str, int],
 ) -> tuple[list[CallRecord], list[str]]:
-    pi_params = PI_PARAMS & set(params)
     records: list[CallRecord] = []
     names: set[str] = set()
     for node in body:
@@ -1336,33 +1213,8 @@ def _call_records(
             continue
         qual = _qualify(resolved, ctx, module, class_name)
         names.add(qual)
-        positions: list[tuple[int, str]] = []
-        keywords: list[tuple[str, str]] = []
-        for i, arg in enumerate(node.args):
-            if (
-                isinstance(arg, ast.Name)
-                and arg.id in pi_params
-                and _pre_rebind(arg.id, node.lineno, rebind)
-            ):
-                positions.append((i, arg.id))
-        for kw in node.keywords:
-            if (
-                kw.arg is not None
-                and isinstance(kw.value, ast.Name)
-                and kw.value.id in pi_params
-                and _pre_rebind(kw.value.id, node.lineno, rebind)
-            ):
-                keywords.append((kw.arg, kw.value.id))
-        if positions or keywords or qual:
-            records.append(
-                CallRecord(
-                    callee=qual,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    pi_positions=tuple(positions),
-                    pi_keywords=tuple(keywords),
-                )
-            )
+        if qual:
+            records.append(CallRecord(callee=qual, line=node.lineno, col=node.col_offset))
     return records, sorted(names)
 
 
@@ -1397,7 +1249,6 @@ def _summarize_function(
     params = _param_names(func.args)
     body = _own_walk(func)
     full_body = list(ast.walk(func))
-    rebind = _first_rebind_lines(body, params)
 
     is_async = isinstance(func, ast.AsyncFunctionDef)
     await_lines, awaited_ids = _await_info(body)
@@ -1429,11 +1280,9 @@ def _summarize_function(
     else:
         returns_derived, returns_depends = False, ()
 
-    mutated = _mutations(full_body, params, rebind)
-    returned, stored = _escapes(body, params, rebind)
     self_reads, self_writes = _self_accesses(full_body)
     g_reads, g_writes = _global_accesses(func, full_body, params, mutable_globals)
-    calls, call_names = _call_records(full_body, ctx, module, class_name, params, rebind)
+    calls, call_names = _call_records(full_body, ctx, module, class_name)
 
     name = func.name if class_name is None else f"{class_name}.{func.name}"
     has_on_error = "on_error" in params or (
@@ -1447,9 +1296,6 @@ def _summarize_function(
         rng_sites=tuple(rng_sites),
         calls=tuple(calls),
         call_names=tuple(call_names),
-        mutated_params=tuple(sorted(mutated.items())),
-        returned_params=tuple(returned),
-        stored_params=tuple(stored),
         global_reads=tuple(sorted(g_reads)),
         global_writes=tuple(sorted(g_writes)),
         self_reads=tuple(sorted(self_reads)),

@@ -19,7 +19,7 @@ class Severity(enum.Enum):
     """How hard a rule's violations break the library's contracts.
 
     ``ERROR`` rules guard invariants whose violation corrupts results
-    (replayability, pickle transport, purity); ``WARNING`` flags lint
+    (replayability, pickle transport, failure records); ``WARNING`` flags lint
     hygiene (a stale suppression marker).  Both fail the lint gate; the
     level is informational.
     """

@@ -102,12 +102,9 @@ def _engine(
     config: SolverConfig | None,
     backend: BackendLike = None,
     store: "str | os.PathLike | None" = None,
-    sanitize: bool = False,
 ) -> RobustnessEngine:
     """One-shot engine with the facade's keyword set."""
-    return RobustnessEngine(
-        norm=norm, config=config, backend=backend, store=store, sanitize=sanitize
-    )
+    return RobustnessEngine(norm=norm, config=config, backend=backend, store=store)
 
 
 def evaluate(

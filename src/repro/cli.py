@@ -179,11 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="incremental cache location (default: .repro-lint-cache.json)",
     )
-    pl.add_argument(
-        "--sanitize-check",
-        action="store_true",
-        help="run the runtime numeric sanitizer's self-check and exit",
-    )
 
     ps = sub.add_parser(
         "serve",
@@ -501,16 +496,6 @@ def _cmd_lint(args) -> int:
         rows = [list(row) for row in rule_catalog()]
         print(format_table(["code", "name", "severity", "description"], rows))
         return 0
-    if args.sanitize_check:
-        from repro.engine.sanitize import sanitizer_selfcheck
-
-        results = sanitizer_selfcheck()
-        for name, ok, detail in results:
-            print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
-        n_bad = sum(1 for _, ok, _ in results if not ok)
-        print(f"{len(results) - n_bad}/{len(results)} sanitizer checks passed")
-        return 0 if n_bad == 0 else 1
-
     paths = list(args.paths)
     if args.changed is not None:
         # --changed alone diffs the work tree; --changed=REF also includes
@@ -559,7 +544,7 @@ def _cmd_lint(args) -> int:
     elif not paths:
         print(
             "repro lint: at least one path is required "
-            "(or --changed / --list-rules / --sanitize-check)",
+            "(or --changed / --list-rules)",
             file=sys.stderr,
         )
         return 2

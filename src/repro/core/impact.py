@@ -136,6 +136,13 @@ class AffineImpact(ImpactFunction):
         return f"AffineImpact(coefficients={self.coefficients!r}, intercept={self.intercept})"
 
 
+def _read_only(pi: np.ndarray) -> np.ndarray:
+    """A read-only float view of ``pi`` (the caller's array keeps its flags)."""
+    view = np.asarray(pi, dtype=float).view()
+    view.setflags(write=False)
+    return view
+
+
 class CallableImpact(ImpactFunction):
     """Wraps an arbitrary scalar function ``f(pi)`` (optionally with gradient).
 
@@ -143,6 +150,11 @@ class CallableImpact(ImpactFunction):
     is a convex program (Section 3.2, final paragraph); non-convex functions
     are still accepted and handled with multi-start heuristics, matching the
     paper's "heuristic techniques ... to find near-optimal solutions".
+
+    Eq. 1 assumes ``f`` is a pure function of ``pi``, and the solvers and
+    validators re-read the points they evaluate.  ``func`` and ``grad``
+    therefore receive a read-only view of ``pi``: an in-place write raises
+    ``ValueError`` at the write instead of corrupting later evaluations.
     """
 
     def __init__(
@@ -162,12 +174,12 @@ class CallableImpact(ImpactFunction):
         self.convex = convex
 
     def __call__(self, pi: np.ndarray) -> float:
-        return float(self._func(np.asarray(pi, dtype=float)))
+        return float(self._func(_read_only(pi)))
 
     def gradient(self, pi: np.ndarray) -> np.ndarray | None:
         if self._grad is None:
             return None
-        g = self._grad(np.asarray(pi, dtype=float))
+        g = self._grad(_read_only(pi))
         if g is None:  # a wrapped gradient may itself be partial
             return None
         return np.asarray(g, dtype=float)

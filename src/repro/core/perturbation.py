@@ -30,7 +30,9 @@ class PerturbationParameter:
         loads, ...).
     origin:
         The assumed operating point ``pi_orig`` — estimated computation times
-        / initial sensor loads.
+        / initial sensor loads.  Stored as a read-only copy: the caller's
+        array stays writeable, and an in-place write to ``origin`` raises
+        ``ValueError`` instead of silently moving the anchor of every radius.
     discrete:
         True when the parameter only takes integer values (e.g. objects per
         data set).  The paper treats such parameters continuously and floors
@@ -52,7 +54,10 @@ class PerturbationParameter:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValidationError("perturbation parameter name must be non-empty")
-        self.origin = as_1d_float_array(self.origin, "origin")
+        # copy first: as_1d_float_array hands back the caller's own array
+        origin = as_1d_float_array(self.origin, "origin").copy()
+        origin.setflags(write=False)
+        self.origin = origin
         if self.component_names is not None:
             if len(self.component_names) != self.origin.size:
                 raise ValidationError(

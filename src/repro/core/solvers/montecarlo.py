@@ -86,7 +86,10 @@ def ray_crossings(
     bracket is ``tol * max(1, hi)`` wide; finished rays leave the active set.
     Returns ``hi``, the *violating* end of each bracket: never below the true
     crossing, so the Monte-Carlo estimate stays an over-estimate for tiny radii.
+    ``tol`` must be positive and finite, or the bisection would never stop.
     """
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     origin = np.asarray(origin, dtype=float)
     directions = np.asarray(directions, dtype=float)
     lo = np.zeros(directions.shape[0])

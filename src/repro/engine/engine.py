@@ -60,6 +60,7 @@ from repro.engine.fault import (
     check_on_error,
     solve_radius_tasks_isolated,
 )
+from repro.engine.sanitize import check_allocation_batch, check_hiperd_batch, sanitize_batch
 from repro.exceptions import InfeasibleAtOriginError, ValidationError
 from repro.hiperd.constraints import assignment_matrix, build_constraints
 from repro.obs import metrics as obs_metrics
@@ -313,7 +314,9 @@ class RobustnessEngine:
 
     One engine instance carries the norm, the solver configuration and the
     numeric solve cache; it is cheap to construct and safe to reuse across
-    calls (the cache only ever helps).
+    calls (the cache only ever helps).  Every batch it returns has passed the
+    post-conditions of :mod:`repro.engine.sanitize` (no silent NaN, no
+    negative radius at a feasible origin, ``rho`` = min of its radii).
 
     Example
     -------
@@ -331,7 +334,6 @@ class RobustnessEngine:
         norm: Norm | str | None = None,
         config: SolverConfig | dict | None = None,
         solver_options: dict | None = None,
-        sanitize: bool = False,
         backend: "str | ExecutionBackend | type[ExecutionBackend] | BackendSpec | None" = None,
         store: "str | os.PathLike | None" = None,
     ) -> None:
@@ -346,12 +348,6 @@ class RobustnessEngine:
         #: and then the legacy ``pool_size`` heuristic (see
         #: :func:`repro.engine.backends.resolve_backend`)
         self.backend = backend
-        #: when True, every evaluation is audited by
-        #: :mod:`repro.engine.sanitize`: NaN/inconsistent radii raise
-        #: :class:`~repro.exceptions.SanitizerError` (or become
-        #: ``stage="sanitize"`` failure records under ``on_error="record"`` /
-        #: ``"degrade"``).  Healthy results are bit-for-bit unaffected.
-        self.sanitize = bool(sanitize)
 
     # -- allocation (Eq. 6/7) ------------------------------------------------
     def evaluate_allocation(
@@ -397,10 +393,7 @@ class RobustnessEngine:
                 f"mapping {bad} violates the makespan bound at C_orig "
                 f"(radius {values[bad]:g} < 0)"
             )
-        if self.sanitize:
-            from repro.engine.sanitize import check_allocation_batch
-
-            check_allocation_batch(radii, values)
+        check_allocation_batch(radii, values)
         return AllocationBatchResult(
             values=values,
             radii=radii,
@@ -491,11 +484,8 @@ class RobustnessEngine:
         with np.errstate(divide="ignore", invalid="ignore"):
             slacks = (1.0 - rows.values / limits).min(axis=1)
 
-        if self.sanitize:
-            from repro.engine.sanitize import check_hiperd_batch
-
-            # slacks are excluded: inf/NaN slack is legitimate on zero limits
-            check_hiperd_batch(rows.raw, rows.radii)
+        # slacks are excluded: inf/NaN slack is legitimate on zero limits
+        check_hiperd_batch(rows.raw, rows.radii)
         return HiperdBatchResult(
             values=floor_radii(rows.raw) if apply_floor else rows.raw,
             raw_values=rows.raw,
@@ -730,14 +720,9 @@ class RobustnessEngine:
             dataclasses.replace(rec, problem_index=task_where[rec.task_index][0])
             for rec in failures
         )
-        batch = BatchRobustnessResult(
-            results=metrics, failures=annotated, on_error=on_error
+        return sanitize_batch(
+            BatchRobustnessResult(results=metrics, failures=annotated, on_error=on_error)
         )
-        if self.sanitize:
-            from repro.engine.sanitize import sanitize_batch
-
-            batch = sanitize_batch(batch)
-        return batch
 
     # -- unified dispatch -----------------------------------------------------
     def robustness_of(self, *args: Any, on_error: str = "raise", **kwargs: Any) -> Any:

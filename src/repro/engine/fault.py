@@ -184,7 +184,7 @@ class FailureRecord:
     deadline overrun), ``"crash"`` (worker process died), ``"pickle"``
     (task arguments would not cross the process boundary), or
     ``"sanitize"`` (a :mod:`repro.engine.sanitize` post-condition failed
-    on an engine constructed with ``sanitize=True``).  ``fallback_used``
+    on the assembled batch).  ``fallback_used``
     marks records whose task ultimately produced a Monte-Carlo *bound*
     instead of an exact radius (``on_error="degrade"``).
     """

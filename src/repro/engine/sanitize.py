@@ -1,80 +1,55 @@
-"""Runtime numeric sanitizer for the robustness pipeline.
+"""Runtime post-conditions of every engine batch.
 
-The static rules in :mod:`repro.analysis.checks` catch *structural* hazards;
-this module catches *numeric* ones at runtime.  It audits the post-conditions
-the paper's definitions imply — a radius is never silently NaN, a radius at a
-feasible origin is never negative, and the metric ``rho`` equals the minimum
-of its own per-feature radii (Eq. 2) — and either raises
-:class:`~repro.exceptions.SanitizerError` or converts each violation into a
-``FailureRecord`` with ``stage="sanitize"``, matching the fault-tolerant
-layer's ``on_error`` contract.
+The paper's definitions imply three checks that no static rule can see: a
+radius is never silently NaN, a radius at a feasible origin is never
+negative, and the metric ``rho`` equals the minimum of its own per-feature
+radii (Eq. 2).  :class:`~repro.engine.RobustnessEngine` runs them on every
+batch it returns:
 
-Three entry points:
+* :func:`sanitize_batch` after ``evaluate_population`` — a violation raises
+  :class:`~repro.exceptions.SanitizerError` under ``on_error="raise"`` or
+  becomes a ``FailureRecord`` with ``stage="sanitize"`` otherwise, matching
+  the fault-tolerant layer's ``on_error`` contract;
+* :func:`check_allocation_batch` / :func:`check_hiperd_batch` after the
+  closed-form passes, where NaN is always corruption.
 
-* :func:`sanitize_batch` / :func:`check_allocation_batch` /
-  :func:`check_hiperd_batch` — hooks the
-  :class:`~repro.engine.RobustnessEngine` calls when constructed with
-  ``sanitize=True``.  A healthy batch is returned **unchanged** (the same
-  object), so sanitized and unsanitized runs are bit-for-bit identical when
-  nothing is wrong.
-* :class:`Sanitizer` — a context manager that instruments the scalar API
-  (``robustness_radius``/``robustness_metric``/``robustness``) in every
-  loaded ``repro`` module and captures floating-point events
-  (divide/overflow/invalid) via :func:`numpy.seterrcall`.
-* :func:`sanitized` — a decorator form of the context manager.
-
-This module never imports :mod:`repro.engine` at import time (the engine
-imports *us* lazily); batch results and records are handled structurally.
+A healthy batch is returned **unchanged** (the same object), so the audit
+never changes a healthy result.
 """
 
 from __future__ import annotations
 
-import functools
-import importlib
 import math
-import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any
 
 import numpy as np
 
-from repro.exceptions import SanitizerError, ValidationError
+from repro.engine.fault import FailureRecord
+from repro.exceptions import SanitizerError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
-
-def _count_sanitizer_event(kind: str, n: int = 1) -> None:
-    """Record sanitizer activity in the obs registry (no-op while disabled)."""
-    if n > 0 and obs_trace.enabled():
-        obs_metrics.get_registry().counter(
-            "repro_sanitizer_events_total",
-            help="sanitizer violations and captured floating-point events",
-            kind=kind,
-        ).inc(n)
 
 __all__ = [
     "Violation",
     "audit_radius_result",
     "audit_metric_result",
-    "audit_object",
     "audit_batch",
     "sanitize_batch",
     "check_allocation_batch",
     "check_hiperd_batch",
-    "Sanitizer",
-    "sanitized",
-    "sanitizer_selfcheck",
 ]
 
-F = TypeVar("F", bound=Callable[..., Any])
 
-#: modules owning the canonical scalar entry points the Sanitizer wraps
-_PATCH_TARGETS: tuple[tuple[str, str], ...] = (
-    ("repro.core.radius", "robustness_radius"),
-    ("repro.core.metric", "robustness_metric"),
-    ("repro.alloc.robustness", "robustness"),
-    ("repro.hiperd.robustness", "robustness"),
-)
+def _count_violations(n: int) -> None:
+    """Record audit violations in the obs registry (no-op while disabled)."""
+    if n > 0 and obs_trace.enabled():
+        obs_metrics.get_registry().counter(
+            "repro_sanitizer_events_total",
+            help="post-condition violations found by the batch audit",
+            kind="violation",
+        ).inc(n)
 
 
 @dataclass(frozen=True)
@@ -208,49 +183,8 @@ def audit_metric_result(m: Any, *, context: str = "") -> list[Violation]:
     return out
 
 
-def _audit_allocation_scalar(res: Any, *, context: str) -> list[Violation]:
-    out: list[Violation] = []
-    radii = np.asarray(res.radii, dtype=float)
-    if _isnan(res.value) or bool(np.isnan(radii).any()):
-        out.append(
-            Violation(
-                check="nan-allocation-radius",
-                context=context,
-                message="makespan robustness produced NaN (closed form cannot fail)",
-            )
-        )
-    return out
-
-
-def _audit_hiperd_scalar(res: Any, *, context: str) -> list[Violation]:
-    out: list[Violation] = []
-    radii = np.asarray(res.radii, dtype=float)
-    if bool(np.isnan(radii).any()) or _isnan(res.raw_value):
-        out.append(
-            Violation(
-                check="nan-hiperd-radius",
-                context=context,
-                message="sensor-load robustness produced a NaN constraint radius",
-            )
-        )
-    return out
-
-
-def audit_object(obj: Any, *, context: str = "") -> list[Violation]:
-    """Dispatch an audit on any scalar-API result by shape (duck-typed)."""
-    if hasattr(obj, "binding_bound") and hasattr(obj, "radius"):
-        return audit_radius_result(obj, context=context or "robustness_radius")
-    if hasattr(obj, "binding_feature") and hasattr(obj, "radii"):
-        return audit_metric_result(obj, context=context or "robustness_metric")
-    if hasattr(obj, "critical_machine"):
-        return _audit_allocation_scalar(obj, context=context or "alloc.robustness")
-    if hasattr(obj, "binding_index"):
-        return _audit_hiperd_scalar(obj, context=context or "hiperd.robustness")
-    return []
-
-
 # ---------------------------------------------------------------------------
-# batch hooks (called by RobustnessEngine when sanitize=True)
+# batch hooks (called by RobustnessEngine on every batch)
 # ---------------------------------------------------------------------------
 
 
@@ -300,9 +234,7 @@ def audit_batch(batch: Any) -> list[Violation]:
     return out
 
 
-def _violation_record(v: Violation) -> Any:
-    from repro.engine.fault import FailureRecord
-
+def _violation_record(v: Violation) -> FailureRecord:
     return FailureRecord(
         task_index=-1,
         attempts=1,
@@ -326,7 +258,7 @@ def sanitize_batch(batch: Any) -> Any:
     batch is returned unchanged (identical object).
     """
     violations = audit_batch(batch)
-    _count_sanitizer_event("violation", len(violations))
+    _count_violations(len(violations))
     if not violations:
         return batch
     if getattr(batch, "on_error", "raise") == "raise":
@@ -368,204 +300,3 @@ def check_hiperd_batch(values: np.ndarray, radii: np.ndarray) -> None:
             check="nan-hiperd-radius",
             context="hiperd batch",
         )
-
-
-# ---------------------------------------------------------------------------
-# dynamic instrumentation
-# ---------------------------------------------------------------------------
-
-
-class Sanitizer:
-    """Context manager instrumenting the scalar robustness API.
-
-    While active, every call to ``robustness_radius``/``robustness_metric``/
-    ``robustness`` — through *any* loaded ``repro`` module, including
-    ``from``-import aliases — has its return value audited, and
-    floating-point events (divide-by-zero, overflow, invalid) raised by numpy
-    are captured in :attr:`fp_events`.  Wrapped functions return their
-    results untouched, so healthy computations are bit-for-bit identical
-    with and without the sanitizer.
-
-    ``on_violation="raise"`` (default) raises :class:`SanitizerError` at the
-    offending call site; ``"collect"`` accumulates into :attr:`violations`.
-    """
-
-    def __init__(self, *, on_violation: str = "raise", capture_fp_events: bool = True) -> None:
-        if on_violation not in ("raise", "collect"):
-            raise ValidationError(f"on_violation must be 'raise' or 'collect', got {on_violation!r}")
-        self.on_violation = on_violation
-        #: violations observed so far (only grows in ``"collect"`` mode)
-        self.violations: list[Violation] = []
-        #: floating-point event kinds captured while active
-        self.fp_events: list[str] = []
-        self._capture_fp = capture_fp_events
-        self._originals: list[tuple[Any, str, Any]] = []
-        self._errstate: Any = None
-        self._old_errcall: Any = None
-        self._active = False
-
-    # -- bookkeeping --------------------------------------------------------
-
-    def _handle(self, violations: Iterable[Violation]) -> None:
-        for v in violations:
-            if self.on_violation == "raise":
-                raise v.to_error()
-            self.violations.append(v)
-
-    def _wrap(self, func: Callable[..., Any]) -> Callable[..., Any]:
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            result = func(*args, **kwargs)
-            self._handle(audit_object(result, context=func.__qualname__))
-            return result
-
-        wrapper.__repro_sanitized__ = True  # type: ignore[attr-defined]
-        return wrapper
-
-    def _on_fp_event(self, kind: str, flag: int) -> None:
-        self.fp_events.append(kind)
-        _count_sanitizer_event("fp-event")
-
-    def _patch_all(self) -> None:
-        for modname, attr in _PATCH_TARGETS:
-            module = importlib.import_module(modname)
-            original = vars(module)[attr]
-            if getattr(original, "__repro_sanitized__", False):
-                continue  # already instrumented (nested sanitizers share wrappers)
-            wrapper = self._wrap(original)
-            for mod in list(sys.modules.values()):
-                name = getattr(mod, "__name__", "")
-                if not (name == "repro" or name.startswith("repro.")):
-                    continue
-                for alias, value in list(vars(mod).items()):
-                    if value is original:
-                        setattr(mod, alias, wrapper)
-                        self._originals.append((mod, alias, original))
-
-    def _unpatch_all(self) -> None:
-        while self._originals:
-            mod, alias, original = self._originals.pop()
-            setattr(mod, alias, original)
-
-    # -- context protocol ----------------------------------------------------
-
-    def __enter__(self) -> "Sanitizer":
-        if self._active:
-            raise RuntimeError("Sanitizer is not reentrant")
-        self._active = True
-        self._patch_all()
-        if self._capture_fp:
-            self._old_errcall = np.seterrcall(self._on_fp_event)
-            self._errstate = np.errstate(divide="call", over="call", invalid="call")
-            self._errstate.__enter__()
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        if self._errstate is not None:
-            self._errstate.__exit__(*exc)
-            np.seterrcall(self._old_errcall)
-            self._errstate = None
-        self._unpatch_all()
-        self._active = False
-        return False
-
-
-def sanitized(func: F | None = None, *, on_violation: str = "raise") -> Any:
-    """Decorator form of :class:`Sanitizer`.
-
-    The wrapped function runs under an active sanitizer, and its own return
-    value is audited too (useful for functions that *assemble* results rather
-    than calling the instrumented scalar API).
-    """
-
-    def decorate(f: F) -> F:
-        @functools.wraps(f)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            with Sanitizer(on_violation=on_violation) as guard:
-                result = f(*args, **kwargs)
-                guard._handle(audit_object(result, context=f.__qualname__))
-            return result
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate if func is None else decorate(func)
-
-
-# ---------------------------------------------------------------------------
-# self-check (exposed as `repro lint --sanitize-check`)
-# ---------------------------------------------------------------------------
-
-
-def _selfcheck_cases() -> Iterator[tuple[str, bool, str]]:
-    from repro.core.metric import MetricResult
-    from repro.core.radius import RadiusResult
-
-    def radius(value: float, *, feasible: bool = True, converged: bool = True,
-               failure: str | None = None, feature: str = "phi") -> RadiusResult:
-        return RadiusResult(
-            feature=feature,
-            parameter="pi",
-            radius=value,
-            boundary_point=None,
-            binding_bound=None,
-            value_at_origin=0.0,
-            feasible_at_origin=feasible,
-            solver="analytic",
-            converged=converged,
-            failure=failure,
-        )
-
-    healthy = radius(1.5)
-    yield ("healthy-radius-passes", not audit_radius_result(healthy), "audit of a finite radius")
-
-    nan_silent = radius(float("nan"))
-    found = audit_radius_result(nan_silent)
-    yield (
-        "silent-nan-caught",
-        any(v.check == "nan-radius" for v in found),
-        "NaN radius on a converged solve must be flagged",
-    )
-
-    nan_failed = radius(float("nan"), converged=False, failure="max-iter")
-    yield (
-        "recorded-failure-tolerated",
-        not audit_radius_result(nan_failed),
-        "NaN from an admitted failure is the fault layer's job",
-    )
-
-    negative = radius(-0.25, feasible=True)
-    yield (
-        "feasible-negative-caught",
-        any(v.check == "negative-feasible-radius" for v in audit_radius_result(negative)),
-        "negative radius at a feasible origin must be flagged",
-    )
-
-    good_metric = MetricResult(
-        value=1.0, raw_value=1.0, radii=(healthy, radius(1.0, feature="psi")),
-        binding_feature="psi", parameter="pi", feasible_at_origin=True,
-    )
-    yield ("healthy-metric-passes", not audit_metric_result(good_metric), "Eq. 2 consistency holds")
-
-    bad_metric = MetricResult(
-        value=9.0, raw_value=9.0, radii=(healthy, radius(1.0, feature="psi")),
-        binding_feature="psi", parameter="pi", feasible_at_origin=True,
-    )
-    yield (
-        "metric-mismatch-caught",
-        any(v.check == "metric-min-mismatch" for v in audit_metric_result(bad_metric)),
-        "metric must equal min of per-feature radii",
-    )
-
-    with Sanitizer(on_violation="collect") as guard:
-        with np.errstate(invalid="call"):
-            np.float64(np.inf) - np.float64(np.inf)
-    yield (
-        "fp-events-captured",
-        any("invalid" in kind for kind in guard.fp_events),
-        "invalid-operation events reach the sanitizer log",
-    )
-
-
-def sanitizer_selfcheck() -> list[tuple[str, bool, str]]:
-    """Run the built-in poisoned/healthy probes; returns (name, ok, detail)."""
-    return list(_selfcheck_cases())

@@ -108,12 +108,13 @@ class WorkerCrashError(ReproError):
 
 
 class SanitizerError(ReproError):
-    """A runtime numeric post-condition failed inside a sanitized computation.
+    """A runtime numeric post-condition failed on an engine batch.
 
-    Raised by :mod:`repro.engine.sanitize` when a radius computation
-    produces a silently-invalid result: a NaN radius on a converged solve, a
-    negative radius at a feasible origin, or a metric that disagrees with the
-    minimum of its own per-feature radii.  Under ``on_error="record"`` /
+    Raised by :mod:`repro.engine.sanitize`, which audits every batch the
+    :class:`~repro.engine.RobustnessEngine` returns, when a radius
+    computation produces a silently-invalid result: a NaN radius on a
+    converged solve, a negative radius at a feasible origin, or a metric that
+    disagrees with the minimum of its own per-feature radii.  Under ``on_error="record"`` /
     ``"degrade"`` the violation is recorded as a
     :class:`~repro.engine.fault.FailureRecord` with ``stage="sanitize"``
     instead of raising.

@@ -18,7 +18,7 @@ taxonomy):
   ``repro_crashes_total`` — fault-ladder events;
 - ``repro_failure_records_total`` — terminal failure records by ``stage``;
 - ``repro_pool_submits_total`` — futures submitted to the process pool;
-- ``repro_sanitizer_events_total`` — sanitizer ``kind=violation|fp-event``.
+- ``repro_sanitizer_events_total`` — batch-audit ``kind=violation``.
 
 The HTTP service (:mod:`repro.serve`) adds its own family, recorded
 **unconditionally** (a server always wants its request metrics, and

@@ -88,25 +88,6 @@ class TestSummaries:
         )
         assert s.functions["f"].rng_sites == ()
 
-    def test_mutated_and_returned_params(self):
-        s = _summary(
-            "def shift(arr, d):\n"
-            "    arr += d\n"
-            "    return arr\n"
-        )
-        f = s.functions["shift"]
-        assert dict(f.mutated_params) == {"arr": 2}
-        assert [p for p, _ in f.returned_params] == ["arr"]
-
-    def test_rebind_clears_mutation(self):
-        s = _summary(
-            "def shift(arr, d):\n"
-            "    arr = arr.copy()\n"
-            "    arr += d\n"
-            "    return arr\n"
-        )
-        assert s.functions["shift"].mutated_params == ()
-
     def test_global_and_self_accesses(self):
         s = _summary(
             "PENDING = []\n\n"
@@ -175,20 +156,6 @@ class TestProjectPropagation:
     def test_unknown_callee_is_tainted(self):
         project = _project(("src/repro/a.py", "def f():\n    return 1\n"))
         assert project.rng_site_tainted(("some.external.thing",))
-
-    def test_mutated_params_transitive(self):
-        # call-site propagation tracks the perturbation-named parameters
-        # (R103's scope): outer's ``pi`` is mutated *through* inner
-        project = _project(
-            (
-                "src/repro/a.py",
-                "def inner(arr):\n    arr += 1\n\n"
-                "def outer(pi):\n    inner(pi)\n",
-            )
-        )
-        assert project.mutates_param("repro.a.inner", "arr")
-        assert project.mutates_param("repro.a.outer", "pi")
-        assert not project.mutates_param("repro.a.outer", "other")
 
     def test_failure_record_reachability(self):
         project = _project(

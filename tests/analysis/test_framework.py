@@ -32,8 +32,8 @@ from repro.analysis.runner import (
 
 class TestRegistry:
     def test_registered_rule_codes(self):
-        expected = ["R001", "R002", "R004", "R005", "R006", "R008"]
-        expected += ["R101", "R102", "R103", "R104"]
+        expected = ["R001", "R002", "R004", "R008"]
+        expected += ["R101", "R102", "R104"]
         expected += ["R110", "R111", "R113", "R114"]
         expected += ["W000"]
         assert sorted(all_rules()) == sorted(expected)

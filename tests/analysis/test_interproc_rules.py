@@ -104,42 +104,6 @@ class TestR102PoolSharedState:
         assert _codes(src, ["R102"]) == ["R102"]
 
 
-class TestR103PerturbationAliasing:
-    def test_callsite_mutation_flagged(self):
-        src = (
-            "def shift(arr, d):\n"
-            "    arr += d\n"
-            "    return arr\n\n"
-            "def impact(pi):\n"
-            "    return shift(pi, 0.1).sum()\n"
-        )
-        assert _codes(src, ["R103"]) == ["R103"]
-
-    def test_copying_helper_is_clean(self):
-        src = (
-            "def shifted(arr, d):\n"
-            "    arr = arr.copy()\n"
-            "    arr += d\n"
-            "    return arr\n\n"
-            "def impact(pi):\n"
-            "    return shifted(pi, 0.1).sum()\n"
-        )
-        assert _codes(src, ["R103"]) == []
-
-    def test_two_level_chain(self):
-        src = (
-            "def inner(arr):\n"
-            "    arr[0] = 0.0\n\n"
-            "def outer(pi):\n"
-            "    inner(pi)\n\n"
-            "def impact(pi):\n"
-            "    outer(pi)\n"
-            "    return pi.sum()\n"
-        )
-        # outer's call site and impact's call site both alias the array
-        assert _codes(src, ["R103"]) == ["R103", "R103"]
-
-
 class TestR104UnrecordedFailure:
     def test_swallowed_solver_error_flagged(self):
         src = (

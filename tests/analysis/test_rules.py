@@ -21,12 +21,9 @@ EXPECTED_BAD = {
     "R001": 3,
     "R002": 2,
     "R004": 4,
-    "R005": 2,
-    "R006": 4,
     "R008": 2,
     "R101": 3,
     "R102": 3,
-    "R103": 5,
     "R104": 2,
     "R110": 2,
     "R111": 2,
@@ -121,45 +118,6 @@ class TestRuleEdgeCases:
             "def go(pool, t):\n    return pool.submit(worker, t)\n"
         )
         assert lint_source(src, is_test=False, select=["R004"]).clean
-
-    def test_r005_inherited_init_ok(self):
-        src = (
-            "from repro.exceptions import SolverTimeoutError\n\n"
-            "class StillSafe(SolverTimeoutError):\n"
-            "    pass\n"
-        )
-        assert lint_source(src, is_test=False, select=["R005"]).clean
-
-    def test_r005_transitive_same_file_subclass(self):
-        src = (
-            "from repro.exceptions import ReproError\n\n"
-            "class Mid(ReproError):\n    pass\n\n"
-            "class Leaf(Mid):\n"
-            "    def __init__(self, m='x', *, n=1):\n"
-            "        super().__init__(m)\n"
-            "        self.n = n\n"
-        )
-        report = lint_source(src, is_test=False, select=["R005"])
-        assert [f.message for f in report.findings]
-        assert "Leaf" in report.findings[0].message
-
-    def test_r006_rebind_then_write_is_clean(self):
-        src = (
-            "def f(pi):\n"
-            "    pi = pi.copy()\n"
-            "    pi[0] = 1.0\n"
-            "    return pi\n"
-        )
-        assert lint_source(src, is_test=False, select=["R006"]).clean
-
-    def test_r006_write_before_rebind_still_flagged(self):
-        src = (
-            "def f(pi):\n"
-            "    pi[0] = 1.0\n"
-            "    pi = pi.copy()\n"
-            "    return pi\n"
-        )
-        assert len(lint_source(src, is_test=False, select=["R006"]).findings) == 1
 
     def test_r008_post_init_is_clean(self):
         src = (

@@ -1,7 +1,7 @@
 """Self-check: the shipped tree satisfies its own static-analysis contracts.
 
 This is the test the tentpole exists for — the invariants PRs 1-2 promised
-(seeded replay, pickle transport, purity, failure transparency) hold
+(seeded replay, pickle transport, failure transparency) hold
 mechanically over every file we ship, with each deliberate exception
 carrying a documented ``# repro: noqa[CODE]``.
 """

@@ -167,6 +167,18 @@ class TestEstimateRadiusMC:
         with pytest.raises(ValidationError):
             estimate_radius_mc(fs, np.array([10.0, 10.0]), n_directions=4)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_tol_rejected(self, tol):
+        # With tol <= 0 the bisection bracket never gets narrow enough and the
+        # search would never end; the kernel refuses such a tol up front.
+        fs = _affine_set()
+        with pytest.raises(ValidationError, match="tol"):
+            estimate_radius_mc(fs, np.zeros(2), n_directions=4, seed=0, tol=tol)
+        with pytest.raises(ValidationError, match="tol"):
+            ray_crossings(
+                fs.satisfied_rows, np.zeros(2), np.eye(2), max_scale=1e3, tol=tol
+            )
+
 
 class TestValidateRadius:
     def test_exact_radius_is_sound_and_tight(self):

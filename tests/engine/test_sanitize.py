@@ -1,4 +1,4 @@
-"""Unit tests for the runtime numeric sanitizer (repro.engine.sanitize)."""
+"""Unit tests for the engine's batch post-conditions (repro.engine.sanitize)."""
 
 from __future__ import annotations
 
@@ -7,27 +7,19 @@ import pickle
 import numpy as np
 import pytest
 
-import repro.core.metric as metric_mod
 from repro.engine.sanitize import (
-    Sanitizer,
     Violation,
     audit_batch,
     audit_metric_result,
-    audit_object,
     audit_radius_result,
     check_allocation_batch,
     check_hiperd_batch,
     sanitize_batch,
-    sanitized,
-    sanitizer_selfcheck,
 )
-from repro.core.features import FeatureBounds, PerformanceFeature
-from repro.core.impact import AffineImpact
 from repro.core.metric import MetricResult
-from repro.core.perturbation import PerturbationParameter
 from repro.core.radius import RadiusResult
 from repro.engine import BatchRobustnessResult, FailureRecord
-from repro.exceptions import SanitizerError, ValidationError
+from repro.exceptions import SanitizerError
 
 
 def _radius(
@@ -180,124 +172,13 @@ class TestClosedFormChecks:
             check_hiperd_batch(np.array([1.0]), np.array([[float("nan")]]))
 
 
-class TestSanitizerContextManager:
-    def _feature(self):
-        return PerformanceFeature(
-            "phi", AffineImpact(np.array([1.0, 1.0])), FeatureBounds(0.0, 10.0)
-        )
-
-    def _param(self):
-        return PerturbationParameter("pi", np.array([1.0, 2.0]))
-
-    def test_healthy_call_is_bit_for_bit_identical(self):
-        f, p = self._feature(), self._param()
-        base = metric_mod.robustness_metric([f], p)
-        with Sanitizer():
-            inside = metric_mod.robustness_metric([f], p)
-        assert inside.value == base.value
-        assert inside.raw_value == base.raw_value
-
-    def test_patch_is_undone_on_exit(self):
-        original = metric_mod.robustness_metric
-        with Sanitizer():
-            assert metric_mod.robustness_metric is not original
-        assert metric_mod.robustness_metric is original
-
-    def test_patch_undone_even_when_body_raises(self):
-        original = metric_mod.robustness_metric
-        with pytest.raises(RuntimeError, match="boom"):
-            with Sanitizer():
-                raise RuntimeError("boom")
-        assert metric_mod.robustness_metric is original
-
-    def test_violation_raises_at_call_site(self, monkeypatch):
-        poisoned = _radius(float("nan"))
-
-        def fake_radius(*args, **kwargs):
-            return poisoned
-
-        monkeypatch.setattr("repro.core.radius.robustness_radius", fake_radius)
-        import repro.core.radius as radius_mod
-
-        with Sanitizer():
-            with pytest.raises(SanitizerError) as err:
-                radius_mod.robustness_radius()
-        assert err.value.check == "nan-radius"
-
-    def test_collect_mode_accumulates(self, monkeypatch):
-        poisoned = _radius(float("nan"))
-        monkeypatch.setattr(
-            "repro.core.radius.robustness_radius", lambda *a, **k: poisoned
-        )
-        import repro.core.radius as radius_mod
-
-        with Sanitizer(on_violation="collect") as guard:
-            radius_mod.robustness_radius()
-            radius_mod.robustness_radius()
-        assert len(guard.violations) == 2
-        assert all(v.check == "nan-radius" for v in guard.violations)
-
-    def test_fp_events_captured(self):
-        with Sanitizer(on_violation="collect") as guard:
-            np.array([np.inf]) - np.array([np.inf])
-        assert any("invalid" in kind for kind in guard.fp_events)
-
-    def test_fp_state_restored_on_exit(self):
-        before = np.geterr()
-        with Sanitizer():
-            pass
-        assert np.geterr() == before
-
-    def test_not_reentrant(self):
-        guard = Sanitizer()
-        with guard:
-            with pytest.raises(RuntimeError, match="reentrant"):
-                guard.__enter__()
-
-    def test_bad_on_violation_rejected(self):
-        with pytest.raises(ValidationError, match="on_violation"):
-            Sanitizer(on_violation="explode")
-
-
-class TestSanitizedDecorator:
-    def test_return_value_audited(self):
-        @sanitized
-        def build():
-            return _radius(float("nan"))
-
-        with pytest.raises(SanitizerError):
-            build()
-
-    def test_healthy_passthrough(self):
-        @sanitized
-        def build():
-            return _radius(1.0)
-
-        assert build().radius == 1.0
-
-    def test_non_result_values_ignored(self):
-        @sanitized
-        def build():
-            return {"plain": "dict"}
-
-        assert build() == {"plain": "dict"}
-
-
 class TestMisc:
-    def test_audit_object_dispatch_unknown_type(self):
-        assert audit_object(object()) == []
-
     def test_violation_to_error_round_trips_pickle(self):
         v = Violation(check="nan-radius", context="problem[3]", message="m")
         err = pickle.loads(pickle.dumps(v.to_error()))
         assert isinstance(err, SanitizerError)
         assert err.check == "nan-radius"
         assert err.context == "problem[3]"
-
-    def test_selfcheck_all_pass(self):
-        results = sanitizer_selfcheck()
-        assert len(results) >= 7
-        assert all(ok for _, ok, _ in results), results
 
 
 # Run in a child interpreter so the test sees a fresh ``sys.modules``: the
@@ -323,7 +204,7 @@ def quad_grad(pi):
     return 2.0 * pi
 
 
-engine = RobustnessEngine(sanitize=True, backend="serial")
+engine = RobustnessEngine(backend="serial")
 etc = cvb_etc_matrix(8, 3, seed=1)
 alloc = engine.evaluate_allocation(random_assignments(4, 8, 3, seed=2), etc, 1.2)
 system = generate_system(seed=3)

@@ -1,15 +1,15 @@
-"""Engine-level sanitizer validation: injected numeric corruption is never
-silent.
+"""Engine-level batch audit: injected numeric corruption is never silent.
 
-Two corruption families are exercised against ``RobustnessEngine(sanitize=
-True)``:
+Every :class:`~repro.engine.RobustnessEngine` batch passes the
+post-conditions of :mod:`repro.engine.sanitize`.  Two corruption families
+are exercised against the default engine:
 
 * *admitted* failures — a NaN-injecting impact that the fault-tolerant layer
-  catches and records.  The sanitizer must add nothing (the record already
+  catches and records.  The audit must add nothing (the record already
   covers the NaN) and must not perturb healthy results.
 * *silent* failures — corruption smuggled in past the fault layer (patched
   ``metric_from_radii`` / ``batch_robustness_radii``), the class of bug the
-  static rules cannot see.  The sanitizer must raise
+  static rules cannot see.  The audit must raise
   :class:`~repro.exceptions.SanitizerError` under ``on_error="raise"`` and
   append a ``stage="sanitize"`` record under ``on_error="record"``.
 """
@@ -80,19 +80,30 @@ def _poison_metric(monkeypatch, feature_name: str):
     monkeypatch.setattr(engine_mod, "metric_from_radii", corrupted)
 
 
+def _unaudited_run(monkeypatch, problems, **kwargs):
+    """The same evaluation with the batch audit bypassed (reference run)."""
+    with monkeypatch.context() as m:
+        m.setattr(engine_mod, "sanitize_batch", lambda batch: batch)
+        return RobustnessEngine(config=SERIAL).evaluate_population(problems, **kwargs)
+
+
 class TestSilentCorruption:
-    def test_unsanitized_engine_returns_nan_silently(self, monkeypatch):
-        """The gap the sanitizer closes: without it, corruption flows out."""
+    def test_default_engine_never_returns_a_silent_nan(self, monkeypatch):
+        """No opt-in: the default engine audits every batch."""
         _poison_metric(monkeypatch, "q_1")
-        batch = RobustnessEngine(config=SERIAL).evaluate_population(
-            _problems(3), retry_policy=ONE_TRY
+        engine = RobustnessEngine()
+        with pytest.raises(SanitizerError) as err:
+            engine.evaluate_population(_problems(3), retry_policy=ONE_TRY)
+        assert err.value.check == "nan-radius"
+        batch = engine.evaluate_population(
+            _problems(3), on_error="record", retry_policy=ONE_TRY
         )
-        assert np.isnan(batch[1].value)
-        assert batch.ok  # no failure record: the NaN is invisible
+        assert [(f.stage, f.problem_index) for f in batch.failures] == [("sanitize", 1)]
+        assert not batch.ok
 
     def test_raise_mode_raises_sanitizer_error(self, monkeypatch):
         _poison_metric(monkeypatch, "q_1")
-        engine = RobustnessEngine(config=SERIAL, sanitize=True)
+        engine = RobustnessEngine(config=SERIAL)
         with pytest.raises(SanitizerError) as err:
             engine.evaluate_population(_problems(3), retry_policy=ONE_TRY)
         assert err.value.check == "nan-radius"
@@ -100,7 +111,7 @@ class TestSilentCorruption:
 
     def test_record_mode_appends_sanitize_record(self, monkeypatch):
         _poison_metric(monkeypatch, "q_1")
-        engine = RobustnessEngine(config=SERIAL, sanitize=True)
+        engine = RobustnessEngine(config=SERIAL)
         batch = engine.evaluate_population(
             _problems(3), on_error="record", retry_policy=ONE_TRY
         )
@@ -117,7 +128,7 @@ class TestSilentCorruption:
             "batch_robustness_radii",
             lambda assignments, etc, tau: np.full((2, 2), float("nan")),
         )
-        engine = RobustnessEngine(sanitize=True)
+        engine = RobustnessEngine()
         etc = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 1.5]])
         with pytest.raises(SanitizerError, match="makespan"):
             engine.evaluate_allocation([[0, 1, 0], [1, 0, 1]], etc, tau=1.3)
@@ -125,7 +136,7 @@ class TestSilentCorruption:
 
 class TestAdmittedFailures:
     def test_recorded_injection_needs_no_sanitize_record(self):
-        engine = RobustnessEngine(config=SERIAL, sanitize=True)
+        engine = RobustnessEngine(config=SERIAL)
         batch = engine.evaluate_population(
             _problems(5, {2}), on_error="record", retry_policy=ONE_TRY
         )
@@ -133,11 +144,11 @@ class TestAdmittedFailures:
         assert "sanitize" not in stages  # the solve-stage record covers the NaN
         assert [f.problem_index for f in batch.failures] == [2]
 
-    def test_bit_for_bit_parity_with_unsanitized_run(self):
-        plain = RobustnessEngine(config=SERIAL).evaluate_population(
-            _problems(5, {2}), on_error="record", retry_policy=ONE_TRY
+    def test_bit_for_bit_parity_with_unsanitized_run(self, monkeypatch):
+        plain = _unaudited_run(
+            monkeypatch, _problems(5, {2}), on_error="record", retry_policy=ONE_TRY
         )
-        guarded = RobustnessEngine(config=SERIAL, sanitize=True).evaluate_population(
+        guarded = RobustnessEngine(config=SERIAL).evaluate_population(
             _problems(5, {2}), on_error="record", retry_policy=ONE_TRY
         )
         for i in range(5):
@@ -149,11 +160,9 @@ class TestAdmittedFailures:
                 )
         assert len(plain.failures) == len(guarded.failures)
 
-    def test_healthy_population_identical_object_shape(self):
-        plain = RobustnessEngine(config=SERIAL).evaluate_population(
-            _problems(4), retry_policy=ONE_TRY
-        )
-        guarded = RobustnessEngine(config=SERIAL, sanitize=True).evaluate_population(
+    def test_healthy_population_identical_object_shape(self, monkeypatch):
+        plain = _unaudited_run(monkeypatch, _problems(4), retry_policy=ONE_TRY)
+        guarded = RobustnessEngine(config=SERIAL).evaluate_population(
             _problems(4), retry_policy=ONE_TRY
         )
         assert [m.value for m in plain] == [m.value for m in guarded]
@@ -166,11 +175,10 @@ class TestAdmittedFailures:
     reason="crash containment requires the isolating process backend",
 )
 class TestCrashPlusSanitize:
-    """The previously untested combination: ``sanitize=True`` while a pool
-    worker crashes mid-batch.  The crash must be attributed to its own
-    ``stage="crash"`` record, silent corruption must still earn its
-    ``stage="sanitize"`` record, and neither failure may be double-counted
-    by the other layer."""
+    """The batch audit while a pool worker crashes mid-batch.  The crash
+    must be attributed to its own ``stage="crash"`` record, silent
+    corruption must still earn its ``stage="sanitize"`` record, and neither
+    failure may be double-counted by the other layer."""
 
     def test_crash_and_sanitize_records_coexist_without_double_count(
         self, monkeypatch
@@ -183,7 +191,7 @@ class TestCrashPlusSanitize:
             if i == 4:
                 feat = wrap_feature(feat, "crash", worker_only=True)
             problems.append(([feat], PARAM))
-        engine = RobustnessEngine(config=cfg, sanitize=True)
+        engine = RobustnessEngine(config=cfg)
         batch = engine.evaluate_population(
             problems, on_error="record", retry_policy=ONE_TRY
         )

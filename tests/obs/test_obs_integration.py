@@ -208,15 +208,24 @@ class TestMetricsWiring:
         assert span.attrs["n_mappings"] == 2
         assert _counter_value("repro_engine_evaluations_total", kind="allocation") == 1.0
 
-    def test_sanitizer_fp_events_counted(self):
-        from repro.engine.sanitize import Sanitizer
+    def test_sanitizer_violations_counted(self, monkeypatch):
+        import dataclasses
 
+        import repro.engine.engine as engine_mod
+
+        real = engine_mod.metric_from_radii
+
+        def corrupted(radii, parameter, **kwargs):
+            radii = tuple(dataclasses.replace(r, radius=float("nan")) for r in radii)
+            return real(radii, parameter, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "metric_from_radii", corrupted)
+        engine = RobustnessEngine(config=SolverConfig(pool_size=0))
         with obs.observed():
-            with Sanitizer(on_violation="collect") as s:
-                with np.errstate(divide="call"):
-                    np.array([1.0]) / np.array([0.0])
-        assert s.fp_events  # the sanitizer itself saw the event
-        assert _counter_value("repro_sanitizer_events_total", kind="fp-event") >= 1.0
+            batch = engine.evaluate_population([([_feature(0)], PARAM)], on_error="record")
+        assert [f.stage for f in batch.failures] == ["sanitize"]
+        assert _counter_value("repro_sanitizer_events_total", kind="violation") == 1.0
+        assert _counter_value("repro_sanitizer_events_total", kind="fp-event") == 0.0
 
 
 class TestCliTrace:

@@ -192,16 +192,15 @@ class TestLintExitCodes:
         rows = capsys.readouterr().out.splitlines()[2:]
         codes = [row.split("|", 1)[0].strip() for row in rows if row.strip()]
         assert codes == [
-            "R001", "R002", "R004", "R005", "R006", "R008",
-            "R101", "R102", "R103", "R104",
+            "R001", "R002", "R004", "R008",
+            "R101", "R102", "R104",
             "R110", "R111", "R113", "R114",
             "W000",
         ]
 
 
 class TestLintFlags:
-    """The incremental / git-aware / sanitizer flags added with the
-    dataflow engine."""
+    """The incremental / git-aware flags added with the dataflow engine."""
 
     def _bad(self, tmp_path):
         bad = tmp_path / "bad.py"
@@ -239,12 +238,6 @@ class TestLintFlags:
         assert main(["lint", str(tmp_path)]) == 1
         capsys.readouterr()
         assert main(["lint", "--exclude", "generated", str(tmp_path)]) == 0
-
-    def test_sanitize_check_exits_zero(self, capsys):
-        assert main(["lint", "--sanitize-check"]) == 0
-        out = capsys.readouterr().out
-        assert "sanitizer checks passed" in out
-        assert "FAIL" not in out
 
     def test_changed_outside_git_falls_back_to_full_lint(
         self, tmp_path, monkeypatch, capsys
